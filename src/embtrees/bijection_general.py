@@ -48,16 +48,25 @@ from .bijection_nonneg import Piece, _functional_cycles, _swap_hanging_subtrees
 @dataclass
 class WPartition:
     """Sources of the components of the cut graph: W_i collects the vertices
-    whose component source lies at abscissa i."""
+    whose component source lies at abscissa i.  Each cycle starts at its
+    source (its smallest vertex); cycles_at indexes them by its abscissa."""
 
     source: dict[Vertex, Vertex]
     cycles: list[list[Vertex]]
+    cycles_at: dict[int, list[list[Vertex]]] = field(init=False, repr=False)
+    _on_cycle: set[Vertex] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.cycles_at = {}
+        for cyc in self.cycles:
+            self.cycles_at.setdefault(cyc[0].i, []).append(cyc)
+        self._on_cycle = {v for cyc in self.cycles for v in cyc}
 
     def block_of(self, v: Vertex) -> int:
         return self.source[v].i
 
     def on_cycle(self, v: Vertex) -> bool:
-        return any(v in cyc for cyc in self.cycles)
+        return v in self._on_cycle
 
 
 def _cut_spine(f: SFunction) -> dict[Vertex, Vertex]:
@@ -73,9 +82,8 @@ def _analyze(arcs: dict[Vertex, Vertex], vset: VertexSet) -> WPartition:
     cycles = _functional_cycles(arcs)
     source: dict[Vertex, Vertex] = {}
     for cyc in cycles:
-        mn = min(cyc)
         for v in cyc:
-            source[v] = mn
+            source[v] = cyc[0]
     for v in vset.vertices():
         chain = []
         w = v
@@ -120,11 +128,9 @@ def _build_L(arcs: dict[Vertex, Vertex], part: WPartition, i: int
     abscissa i, order pieces by decreasing source, chain left to right.
     Returns (entry vertex a_i, pieces, distinguished path)."""
     pieces = [Piece(Vertex(i, 1), Vertex(i, 1), (Vertex(i, 1),))]
-    for cyc in part.cycles:
-        mn = min(cyc)
-        if mn.i == i:
-            del arcs[cyc[-1]]  # the arc entering the source
-            pieces.append(Piece(mn, cyc[-1], tuple(cyc)))
+    for cyc in part.cycles_at.get(i, ()):
+        del arcs[cyc[-1]]  # the arc entering the source
+        pieces.append(Piece(cyc[0], cyc[-1], tuple(cyc)))
     pieces.sort(key=lambda pc: pc.source, reverse=True)
     for left, right in zip(pieces, pieces[1:]):
         arcs[left.sink] = right.source
@@ -140,11 +146,11 @@ def _build_R(arcs: dict[Vertex, Vertex], part: WPartition, i: int,
     sinks), chain left to right from i^1.  Returns (root b_i, pieces, path).
     A cycle whose source is `exclude` is left out (case A2)."""
     pieces = [Piece(Vertex(i, 1), Vertex(i, 1), (Vertex(i, 1),))]
-    for cyc in part.cycles:
-        mn = min(cyc)
-        if mn.i == i and mn != exclude:
+    for cyc in part.cycles_at.get(i, ()):
+        mn = cyc[0]
+        if mn != exclude:
             del arcs[mn]  # the arc leaving the source
-            path = tuple(cyc[1:] + [cyc[0]])
+            path = tuple(cyc[1:] + [mn])
             pieces.append(Piece(path[0], mn, path))
     pieces.sort(key=lambda pc: pc.sink)
     for left, right in zip(pieces, pieces[1:]):
@@ -196,7 +202,7 @@ def _psi1(f: SFunction) -> _Assembly:
         del arcs[u]
         pieces["Ctilde"] = [Piece(v0, u, tuple(cyc[pos:] + cyc[:pos]))]
         special["u"] = u
-        exclude = min(cyc)
+        exclude = cyc[0]
 
     entries: dict[int, Vertex] = {}
     roots: dict[int, Vertex] = {}

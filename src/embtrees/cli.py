@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import algebra, formulas, oracle, sampler
@@ -34,16 +35,32 @@ from .core import (
     type_distribution_of,
 )
 
-PARSE_ERRORS = (HypothesisViolation, InvalidProfile, IncompatibleDistribution,
-                ValueError)
+PARSE_ERRORS = (HypothesisViolation, InvalidProfile, IncompatibleDistribution)
+
+
+def _parsed(parse, text: str, error: type[EmbTreesError]):
+    """parse(text), reporting a malformed text as `error` (exit 2); any other
+    ValueError is internal and propagates."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise error(f"cannot parse {text!r}: {exc}") from exc
 
 
 def _parse_steps(text: str) -> StepSet:
-    return StepSet.parse(text)
+    return _parsed(StepSet.parse, text, HypothesisViolation)
 
 
 def _parse_profile(text: str) -> Profile:
-    return Profile.parse(text)
+    return _parsed(Profile.parse, text, InvalidProfile)
+
+
+def _exact(value: int | Fraction) -> str:
+    """Exact decimal text of an integer or fraction of any size (str() of an
+    int stops at sys.get_int_max_str_digits() digits)."""
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{_exact(value.numerator)}/{_exact(value.denominator)}"
+    return str(Decimal(int(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -54,43 +71,43 @@ def _explain_cayley(step_set: StepSet, profile: Profile) -> list[tuple[str, str]
     p = profile
     import math
     rows = [("marked-vertex prefactor n_0/(n_ell n_r)",
-             str(Fraction(p.count(0), p.count(p.ell) * p.count(p.r))))]
+             _exact(Fraction(p.count(0), p.count(p.ell) * p.count(p.r))))]
     denom = 1
     for _i, ni in p.items():
         denom *= math.factorial(ni - 1)
     rows.append(("relabelings n!/prod (n_i-1)!",
-                 str(Fraction(math.factorial(p.n), denom))))
+                 _exact(Fraction(math.factorial(p.n), denom))))
     for i, ni in p.items():
         rows.append((f"image choices at abscissa {i}: (sum_s n_{{i-s}})^(n_i-1)",
-                     str(formulas.neighbor_sum(p, step_set, i) ** (ni - 1))))
+                     _exact(formulas.neighbor_sum(p, step_set, i) ** (ni - 1))))
     return rows
 
 
 def _explain_binary(profile: Profile) -> list[tuple[str, str]]:
     p = profile
     rows = [("marked-vertex prefactor n_0/(n_ell n_r)",
-             str(Fraction(p.count(0), p.count(p.ell) * p.count(p.r)))),
+             _exact(Fraction(p.count(0), p.count(p.ell) * p.count(p.r)))),
             ("level 0: C(n_-1 + n_1, n_0 - 1)",
-             str(formulas.comb(p.count(-1) + p.count(1), p.count(0) - 1)))]
+             _exact(formulas.comb(p.count(-1) + p.count(1), p.count(0) - 1)))]
     for i in p.abscissas():
         if i != 0:
             rows.append((f"level {i}: C(n_{{i-1}} + n_{{i+1}} - 1, n_i - 1)",
-                         str(formulas.comb(p.count(i - 1) + p.count(i + 1) - 1,
-                                           p.count(i) - 1))))
+                         _exact(formulas.comb(p.count(i - 1) + p.count(i + 1) - 1,
+                                              p.count(i) - 1))))
     return rows
 
 
 def _explain_sary(step_set: StepSet, profile: Profile) -> list[tuple[str, str]]:
     p = profile
     rows = [("marked-vertex prefactor n_0/(n_ell n_r)",
-             str(Fraction(p.count(0), p.count(p.ell) * p.count(p.r)))),
+             _exact(Fraction(p.count(0), p.count(p.ell) * p.count(p.r)))),
             ("level 0: C(sum_s n_-s, n_0 - 1)",
-             str(formulas.comb(formulas.neighbor_sum(p, step_set, 0),
-                               p.count(0) - 1)))]
+             _exact(formulas.comb(formulas.neighbor_sum(p, step_set, 0),
+                                  p.count(0) - 1)))]
     for i in p.abscissas():
         if i != 0:
             rows.append((f"level {i}: C(sum_s n_{{i-s}} - 1, n_i - 1)",
-                         str(formulas.comb(
+                         _exact(formulas.comb(
                              formulas.neighbor_sum(p, step_set, i) - 1,
                              p.count(i) - 1))))
     return rows
@@ -102,7 +119,8 @@ def cmd_count(args) -> int:
         value = formulas.count_binary_profile(profile)
         rows = _explain_binary(profile) if args.explain else []
     elif args.kind == "binary-horizontal":
-        h = [int(x) for x in args.profile.split(",")]
+        h = _parsed(lambda text: [int(x) for x in text.split(",")],
+                    args.profile, InvalidProfile)
         value = formulas.count_binary_horizontal(h)
         rows = []
     else:
@@ -117,9 +135,9 @@ def cmd_count(args) -> int:
             raise ValueError(f"unknown count kind {args.kind!r}")
     if args.json:
         print(canonical_json({"kind": args.kind, "profile": str(profile),
-                              "count": str(value)}))
+                              "count": _exact(value)}))
     else:
-        print(value)
+        print(_exact(value))
         for label, factor in rows:
             print(f"  {label} = {factor}")
     return 0
@@ -265,6 +283,8 @@ def cmd_sample(args) -> int:
 
 def cmd_law(args) -> int:
     steps = _parse_steps(args.steps) if args.steps else None
+    if steps is None and args.family != "binary":
+        raise HypothesisViolation(f"the {args.family} law needs --steps")
     law = sampler.profile_law(args.n, args.family, steps)
     if args.format == "json":
         data = {"n": law.n, "family": law.family, "total": law.total,
@@ -282,7 +302,7 @@ def cmd_law(args) -> int:
 def cmd_bijection(args) -> int:
     text = sys.stdin.read() if args.input == "-" else open(args.input).read()
     if args.direction == "forward":
-        f = sfunction_from_json(text)
+        f = _parsed(sfunction_from_json, text, InvalidProfile)
         if f.profile.ell == 0:
             tree, trace = phi_with_trace(f)
         else:
@@ -290,7 +310,7 @@ def cmd_bijection(args) -> int:
         trace["output"] = json.loads(marked_stree_to_json(tree))
         print(canonical_json(trace))
     else:
-        tree = marked_stree_from_json(text)
+        tree = _parsed(marked_stree_from_json, text, InvalidProfile)
         if tree.profile.ell == 0:
             f = phi_inverse(tree)
         else:
@@ -301,11 +321,11 @@ def cmd_bijection(args) -> int:
 
 def cmd_types(args) -> int:
     text = sys.stdin.read() if args.input == "-" else open(args.input).read()
-    data = json.loads(text)
+    data = _parsed(json.loads, text, InvalidProfile)
     if "image" in data:
-        obj = sfunction_from_json(text)
+        obj = _parsed(sfunction_from_json, text, InvalidProfile)
     else:
-        obj = marked_stree_from_json(text)
+        obj = _parsed(marked_stree_from_json, text, InvalidProfile)
     dist = type_distribution_of(obj)
     from .core import type_distribution_to_json
     print(type_distribution_to_json(dist))

@@ -368,6 +368,7 @@ class MarkedSTree:
             raise PreconditionViolated(f"mark {self.mark} not at abscissa r")
         if set(self.parent) != verts - {self.root}:
             raise PreconditionViolated("parent must be defined exactly on V \\ {root}")
+        n = vset.n
         depth: dict[Vertex, int] = {self.root: 0}
         for v in self.parent:
             chain = []
@@ -375,7 +376,7 @@ class MarkedSTree:
             while w not in depth:
                 chain.append(w)
                 w = self.parent.get(w)
-                if w is None or len(chain) > vset.n:
+                if w is None or len(chain) > n:
                     raise PreconditionViolated("parent map is not a tree")
             base = depth[w]
             for j, u in enumerate(reversed(chain)):
@@ -443,8 +444,11 @@ def condition_t(tree: MarkedSTree) -> bool:
 
 
 def _first_entry_preceded_by_spine(path: list[Vertex], r: int) -> bool:
+    first: dict[int, int] = {}
+    for j, v in enumerate(path):
+        first.setdefault(v.i, j)
     for i in range(1, r + 1):
-        idx = next((j for j, v in enumerate(path) if v.i == i - 1), None)
+        idx = first.get(i - 1)
         if idx is None or idx == 0 or path[idx - 1] != Vertex(i, 1):
             return False
     return True
@@ -476,11 +480,9 @@ def condition_t2_prime(tree: MarkedSTree) -> bool:
 
 
 def _last_exit_followed_by_spine(path: list[Vertex], ell: int, top: int) -> bool:
+    last = {v.i: j for j, v in enumerate(path)}
     for i in range(ell + 1, top + 1):
-        idx = None
-        for j, v in enumerate(path):
-            if v.i == i - 1:
-                idx = j
+        idx = last.get(i - 1)
         if idx is None or idx + 1 >= len(path) or path[idx + 1] != Vertex(i, 1):
             return False
     return True
@@ -606,18 +608,21 @@ class SAryTree:
     abscissa: int
     children: tuple[tuple[int, "SAryTree"], ...] = ()
 
+    def nodes(self) -> Iterator["SAryTree"]:
+        """Every node, depth first; iterative, so any height is fine."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(c for _, c in node.children)
+
     def size(self) -> int:
-        return 1 + sum(c.size() for _, c in self.children)
+        return sum(1 for _ in self.nodes())
 
     def profile(self) -> Profile:
         counts: dict[int, int] = {}
-
-        def walk(node: SAryTree) -> None:
+        for node in self.nodes():
             counts[node.abscissa] = counts.get(node.abscissa, 0) + 1
-            for _, c in node.children:
-                walk(c)
-
-        walk(self)
         lo, hi = min(counts), max(counts)
         return Profile([counts.get(i, 0) for i in range(lo, hi + 1)], ell=lo)
 
@@ -679,7 +684,11 @@ def sary_from_injective(tree: MarkedSTree | EmbeddedCayleyTree) -> SAryTree:
         children = ch
         absc = lambda v: tree.abscissa[v]
 
-    def build(v) -> SAryTree:
+    order = [root]
+    for v in order:  # breadth first, so every child comes after its parent
+        order.extend(children[v])
+    built: dict = {}
+    for v in reversed(order):
         kids = []
         seen_steps = set()
         for c in children[v]:
@@ -687,10 +696,9 @@ def sary_from_injective(tree: MarkedSTree | EmbeddedCayleyTree) -> SAryTree:
             if s in seen_steps:
                 raise NotInjective(f"two children of {v} at step {s}")
             seen_steps.add(s)
-            kids.append((s, build(c)))
-        return SAryTree(absc(v), tuple(sorted(kids)))
-
-    return build(root)
+            kids.append((s, built.pop(c)))
+        built[v] = SAryTree(absc(v), tuple(sorted(kids)))
+    return built[root]
 
 
 # ---------------------------------------------------------------------------
@@ -745,44 +753,50 @@ class TypeDistribution:
 
 
 def _check_distribution(dist: TypeDistribution) -> None:
+    """Check the three compatibility identities of a census.
+
+    Each family first aggregates the table once into totals per abscissa or
+    per (i, s), then compares them, so the check costs O(r + |types|).
+    """
+    m = dist.m
     prof = dist.profile()
     out = dist.out
     # n_i = chi_{i=0} + sum_s n(i,s)
+    out_at: dict[int, int] = {}
+    for (j, _s), c in out.items():
+        out_at[j] = out_at.get(j, 0) + c
     for i in prof.abscissas():
-        total = (1 if i == 0 else 0) + sum(c for (j, _s), c in out.items() if j == i)
-        if total != prof.count(i):
+        if (1 if i == 0 else 0) + out_at.get(i, 0) != prof.count(i):
             raise IncompatibleDistribution(f"out counts at abscissa {i} do not match")
     # chi_{i=0} + sum_{s,c} c^s n(i-s, c) = sum_c n(i, c)
-    inn = dist.inn
+    children_at: dict[int, int] = {0: 1}
+    in_at: dict[int, int] = {}
+    for (j, cv), c in dist.inn.items():
+        in_at[j] = in_at.get(j, 0) + c
+        for s_idx, cs in enumerate(cv):
+            children_at[j + m + s_idx] = children_at.get(j + m + s_idx, 0) + cs * c
     for i in range(prof.ell - 2, prof.r + 3):
-        lhs = 1 if i == 0 else 0
-        for (j, cv), c in inn.items():
-            for s_idx, cs in enumerate(cv):
-                s = dist.m + s_idx
-                if j + s == i:
-                    lhs += cs * c
-        rhs = sum(c for (j, _cv), c in inn.items() if j == i)
-        if lhs != rhs:
+        if children_at.get(i, 0) != in_at.get(i, 0):
             raise IncompatibleDistribution(f"in counts at abscissa {i} do not match")
     # chi_{i=s} c_0^s + sum_{t,c} c^s n(i-s,t,c) = sum_c n(i,s,c)
-    comp = dist.complete
-    keys = {(i, s) for (i, s, _cv) in comp}
-    keys |= {(i, s) for (i, s) in out}
     c0 = dist.root_in_type
+    keys = set(out)
+    lhs: dict[tuple[int, int], int] = {}
+    rhs: dict[tuple[int, int], int] = {}
     for s_idx, cs in enumerate(c0):
+        lhs[(m + s_idx, m + s_idx)] = cs
         if cs:
-            keys.add((dist.m + s_idx, dist.m + s_idx))
-    for (j, _t, cv) in comp:
+            keys.add((m + s_idx, m + s_idx))
+    for (j, t, cv), c in dist.complete.items():
+        keys.add((j, t))
+        rhs[(j, t)] = rhs.get((j, t), 0) + c
         for s_idx, cs in enumerate(cv):
+            key = (j + m + s_idx, m + s_idx)
+            lhs[key] = lhs.get(key, 0) + cs * c
             if cs:
-                keys.add((j + dist.m + s_idx, dist.m + s_idx))
+                keys.add(key)
     for (i, s) in keys:
-        lhs = c0[s - dist.m] if i == s else 0
-        for (j, _t, cv), c in comp.items():
-            if j == i - s:
-                lhs += cv[s - dist.m] * c
-        rhs = sum(c for (j, t, _cv), c in comp.items() if (j, t) == (i, s))
-        if lhs != rhs:
+        if lhs.get((i, s), 0) != rhs.get((i, s), 0):
             raise IncompatibleDistribution(f"complete counts at ({i},{s}) do not match")
 
 
@@ -802,17 +816,15 @@ def type_distribution_of(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction | SA
         verts = []
         absc = {}
         parent = {}
-
-        def walk(node: SAryTree, par_id: int | None) -> None:
+        stack: list[tuple[SAryTree, int | None]] = [(obj, None)]
+        while stack:
+            node, par_id = stack.pop()
             vid = len(verts)
             verts.append(vid)
             absc[vid] = node.abscissa
             if par_id is not None:
                 parent[vid] = par_id
-            for _s, child in node.children:
-                walk(child, vid)
-
-        walk(obj, None)
+            stack.extend((child, vid) for _s, child in node.children)
         root = 0
         return _type_distribution_from(verts, absc, parent, root, m, check)
     if m is None:

@@ -1,7 +1,11 @@
 """The command-line interface: outputs, exit codes, reproducibility."""
 
 import json
+import sys
 
+import pytest
+
+from embtrees import Profile, StepSet, count_cayley_profile
 from embtrees.cli import main
 
 
@@ -40,6 +44,51 @@ class TestCount:
         assert code == 0
         assert json.loads(out) == {"kind": "cayley", "profile": "3",
                                    "count": "9"}
+
+    def test_count_past_the_int_string_limit(self, capsys):
+        profile = ",".join(["40"] * 40)
+        value = count_cayley_profile(StepSet([-1, 0, 1]), Profile.parse(profile))
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            digits = str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(digits) > limit
+        code, out, _ = run(capsys, "count", "cayley", "--steps=-1,0,1",
+                           "--profile", profile)
+        assert code == 0 and out == digits + "\n"
+        code, out, _ = run(capsys, "count", "cayley", "--steps=-1,0,1",
+                           "--profile", profile, "--json")
+        assert code == 0 and json.loads(out)["count"] == digits
+        code, out, _ = run(capsys, "count", "cayley", "--steps=-1,0,1",
+                           "--profile", profile, "--explain")
+        assert code == 0 and out.splitlines()[0] == digits
+
+
+class TestErrorClasses:
+    @pytest.mark.parametrize("argv", [
+        ("count", "cayley", "--steps", "-1,1", "--profile", "2;x,1"),
+        ("count", "cayley", "--steps", "x,1", "--profile", "2;2,1"),
+        ("count", "binary-horizontal", "--profile", "1,2,"),
+        ("law", "sary", "-n", "3"),
+    ])
+    def test_bad_input_exits_two(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ")
+
+    def test_bad_json_input_exits_two(self, capsys, tmp_path):
+        fn = tmp_path / "fn.json"
+        fn.write_text("{not json")
+        code, _, err = run(capsys, "bijection", "forward", "--input", str(fn))
+        assert code == 2 and "cannot parse" in err
+
+    def test_internal_value_error_is_not_a_parse_error(self, monkeypatch):
+        def broken(*_args):
+            raise ValueError("internal")
+        monkeypatch.setattr("embtrees.formulas.count_cayley_profile", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["count", "cayley", "--steps", "-1,1", "--profile", "2;2,1"])
 
 
 class TestSample:

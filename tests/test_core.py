@@ -1,10 +1,14 @@
 """Core types: validation, orderings, conditions, serialization."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from embtrees import (
     HypothesisViolation,
+    IncompatibleDistribution,
     InvalidProfile,
     NotInjective,
     PreconditionViolated,
@@ -13,12 +17,14 @@ from embtrees import (
     StepSet,
     Vertex,
     VertexSet,
+    sample_embedded_cayley,
     sary_from_injective,
     satisfies_condition_f,
     type_distribution_of,
     validate_profile_for,
 )
 from embtrees.core import (
+    _check_distribution,
     embedded_cayley_from_json,
     embedded_cayley_to_json,
     marked_stree_from_json,
@@ -149,11 +155,144 @@ class TestTypeDistribution:
         assert seen == {(((0, -1), 1), ((1, 1), 1))}
 
     def test_compatibility_checked_on_all_small_objects(self):
+        # every oracle tree and function up to n = 5; check=True raises on
+        # any identity failure
         S = StepSet([-1, 0, 1])
-        for p in profiles_up_to(4):
-            for t in enumerate_marked_strees(S, p,
-                                             "nonneg" if p.ell == 0 else "general"):
-                type_distribution_of(t)  # raises on any identity failure
+        checked = 0
+        for p in profiles_up_to(5):
+            regime = "nonneg" if p.ell == 0 else "general"
+            for obj in [*enumerate_marked_strees(S, p, regime),
+                        *enumerate_sfunctions(S, p, regime),
+                        *enumerate_embedded_cayley(S, p)]:
+                type_distribution_of(obj, check=True)
+                checked += 1
+            for obj in enumerate_sary(S, p):
+                type_distribution_of(obj, m=S.m, check=True)
+                checked += 1
+        assert checked == 3197 + 3197 + 52441 + 344
+
+
+def _reference_check(dist):
+    """The census check as first written, one scan of the type table per
+    abscissa or per (i, s) key; the reference for the aggregated check."""
+    prof = dist.profile()
+    out = dist.out
+    for i in prof.abscissas():
+        total = (1 if i == 0 else 0) + sum(c for (j, _s), c in out.items() if j == i)
+        if total != prof.count(i):
+            raise IncompatibleDistribution(f"out counts at abscissa {i} do not match")
+    inn = dist.inn
+    for i in range(prof.ell - 2, prof.r + 3):
+        lhs = 1 if i == 0 else 0
+        for (j, cv), c in inn.items():
+            for s_idx, cs in enumerate(cv):
+                if j + dist.m + s_idx == i:
+                    lhs += cs * c
+        rhs = sum(c for (j, _cv), c in inn.items() if j == i)
+        if lhs != rhs:
+            raise IncompatibleDistribution(f"in counts at abscissa {i} do not match")
+    comp = dist.complete
+    keys = {(i, s) for (i, s, _cv) in comp}
+    keys |= {(i, s) for (i, s) in out}
+    c0 = dist.root_in_type
+    for s_idx, cs in enumerate(c0):
+        if cs:
+            keys.add((dist.m + s_idx, dist.m + s_idx))
+    for (j, _t, cv) in comp:
+        for s_idx, cs in enumerate(cv):
+            if cs:
+                keys.add((j + dist.m + s_idx, dist.m + s_idx))
+    for (i, s) in keys:
+        lhs = c0[s - dist.m] if i == s else 0
+        for (j, _t, cv), c in comp.items():
+            if j == i - s:
+                lhs += cv[s - dist.m] * c
+        rhs = sum(c for (j, t, _cv), c in comp.items() if (j, t) == (i, s))
+        if lhs != rhs:
+            raise IncompatibleDistribution(f"complete counts at ({i},{s}) do not match")
+
+
+def _verdict(check, dist):
+    """None if the check accepts, else the identity family it reports."""
+    try:
+        check(dist)
+    except IncompatibleDistribution as exc:
+        return str(exc).split(" counts at ")[0]
+    return None
+
+
+def _bump(table, idx, delta):
+    (key, c) = table[idx]
+    return table[:idx] + ((key, c + delta),) + table[idx + 1:]
+
+
+class TestCensusCheck:
+    """Each identity family of the census check rejects a hand-perturbed
+    census of a real tree."""
+
+    S = StepSet([-1, 0, 1])
+
+    def census(self, seed=3):
+        tree = sample_embedded_cayley(self.S, Profile.parse("2,1;3,2,1"), seed=seed)
+        return type_distribution_of(tree)
+
+    def test_unperturbed_census_passes(self):
+        _check_distribution(self.census())
+
+    def test_out_identity(self):
+        # the profile is read off the out counts, so only a table that
+        # repeats a key can break n_i = chi_{i=0} + sum_s n(i,s)
+        d = self.census()
+        bad = dataclasses.replace(d, out_counts=d.out_counts + d.out_counts[:1])
+        with pytest.raises(IncompatibleDistribution, match="out counts at abscissa"):
+            _check_distribution(bad)
+
+    def test_in_identity(self):
+        d = self.census()
+        leaf = next(idx for idx, ((_i, cv), _c) in enumerate(d.in_counts)
+                    if not any(cv))
+        bad = dataclasses.replace(d, in_counts=_bump(d.in_counts, leaf, 1))
+        with pytest.raises(IncompatibleDistribution, match="in counts at abscissa"):
+            _check_distribution(bad)
+
+    def test_complete_identity(self):
+        d = self.census()
+        leaf = next(idx for idx, ((_i, _s, cv), _c) in enumerate(d.complete_counts)
+                    if not any(cv))
+        bad = dataclasses.replace(d, complete_counts=_bump(d.complete_counts, leaf, 1))
+        with pytest.raises(IncompatibleDistribution, match="complete counts at"):
+            _check_distribution(bad)
+
+    def test_root_in_type(self):
+        d = self.census()
+        root = list(d.root_in_type)
+        root[-1] += 1
+        bad = dataclasses.replace(d, root_in_type=tuple(root))
+        with pytest.raises(IncompatibleDistribution, match="complete counts at"):
+            _check_distribution(bad)
+
+    def test_agrees_with_reference_on_perturbations(self):
+        rng = random.Random(20261018)
+        rejected = set()
+        for trial in range(300):
+            d = self.census(seed=trial % 7)
+            field = rng.choice(["out_counts", "in_counts", "complete_counts"])
+            table = getattr(d, field)
+            idx = rng.randrange(len(table))
+            if rng.random() < 0.2:
+                table = table + table[idx:idx + 1]
+            else:
+                table = _bump(table, idx, rng.choice([-1, 1]))
+            bad = dataclasses.replace(d, **{field: table})
+            try:
+                expected = _verdict(_reference_check, bad)
+            except InvalidProfile:
+                with pytest.raises(InvalidProfile):
+                    _check_distribution(bad)
+                continue
+            assert _verdict(_check_distribution, bad) == expected
+            rejected.add(expected)
+        assert rejected == {None, "out", "in", "complete"}
 
 
 class TestPositivityRemark:
