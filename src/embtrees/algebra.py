@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-import networkx as nx
-
 from .core import (
     BudgetExceeded,
     IncompatibleDistribution,
@@ -25,8 +23,9 @@ from .core import (
     StepSet,
     Vertex,
     VertexSet,
+    is_tree,
 )
-from .formulas import TargetTree, WeightAssignment, _as_int
+from .formulas import TargetTree, WeightAssignment, _as_int, _multinomial, _spine
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +63,6 @@ class CycleGraph:
                 cycles.append((verts, tuple(arcs)))
         return cycles
 
-    def elementary_cycles_generic(self) -> list[frozenset[int]]:
-        """Johnson-style enumeration on the explicit digraph (debug check)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.ell, self.r + 1))
-        for i in range(self.ell, self.r + 1):
-            for s in self.step_set:
-                j = i - s
-                if self.ell <= j <= self.r:
-                    g.add_edge(i, j)
-        return [frozenset(c) for c in nx.simple_cycles(g)]
-
 
 def enumerate_cycle_configurations(g: CycleGraph
                                    ) -> Iterator[tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]]:
@@ -98,42 +86,17 @@ def enumerate_cycle_configurations(g: CycleGraph
 
 
 def eval_P(g: CycleGraph, y: Mapping[int, Fraction | int]) -> Fraction:
-    """The configuration sum P_{l,r}:
+    """The configuration sum P_{l,r}: eval_P_refined at x = 1,
     sum_C (-1)^{|C|} prod_i ((sum_s y_{i-s})^{chi_{i not in C}}
                              (y_i - chi_{i=0})^{chi_{i in C}}),
     with y_i = 0 outside [l, r]."""
-    def yv(i: int) -> Fraction:
-        return Fraction(y.get(i, 0)) if g.ell <= i <= g.r else Fraction(0)
-
-    total = Fraction(0)
-    for config in enumerate_cycle_configurations(g):
-        in_c = set()
-        for verts, _arcs in config:
-            in_c.update(verts)
-        term = Fraction((-1) ** len(config))
-        for i in range(g.ell, g.r + 1):
-            if i in in_c:
-                term *= yv(i) - (1 if i == 0 else 0)
-            else:
-                term *= sum(yv(i - s) for s in g.step_set)
-        total += term
-    return total
+    return eval_P_refined(g, y)
 
 
 def closed_P(g: CycleGraph, y: Mapping[int, Fraction | int]) -> Fraction:
-    """Closed form of P_{l,r} under min S = -1 or l = 0:
-    chi_{0 in S} when l = r = 0, else (sum_s y_{-s}) prod_{l+1}^{r-1} y_i."""
-    if g.ell == 0 and g.r == 0:
-        return Fraction(1 if 0 in g.step_set else 0)
-
-    def yv(i: int) -> Fraction:
-        return Fraction(y.get(i, 0)) if g.ell <= i <= g.r else Fraction(0)
-
-    total = sum(yv(-s) for s in g.step_set)
-    value = Fraction(total)
-    for i in range(g.ell + 1, g.r):
-        value *= yv(i)
-    return value
+    """Closed form of P_{l,r} under min S = -1 or l = 0 (closed_P_refined at
+    x = 1): chi_{0 in S} when l = r = 0, else (sum_s y_{-s}) prod_{l+1}^{r-1} y_i."""
+    return closed_P_refined(g, y)
 
 
 def eval_P_out(g: CycleGraph, out: Mapping[tuple[int, int], int]) -> Fraction:
@@ -162,12 +125,7 @@ def eval_P_out(g: CycleGraph, out: Mapping[tuple[int, int], int]) -> Fraction:
 
 def closed_P_out(g: CycleGraph, out: Mapping[tuple[int, int], int]) -> Fraction:
     """Closed form: prod_{i<0} n(i,-1) prod_{i>0} n(i,1)."""
-    value = Fraction(1)
-    for i in range(g.ell, 0):
-        value *= out.get((i, -1), 0)
-    for i in range(1, g.r + 1):
-        value *= out.get((i, 1), 0)
-    return value
+    return Fraction(_spine(lambda i, s: out.get((i, s), 0), g.ell, g.r))
 
 
 def eval_P_refined(g: CycleGraph, y: Mapping[int, Fraction | int],
@@ -176,29 +134,26 @@ def eval_P_refined(g: CycleGraph, y: Mapping[int, Fraction | int],
     sum_C (-1)^{|C|} (prod_{(i,i-s) in C} x_{i,s})
       prod_i ((sum_s y_{i-s} x_{i,s})^{chi_{i not in C}}
               (y_i - chi_{i=0})^{chi_{i in C}})."""
-    if weights is None:
-        weights = WeightAssignment()
-    elif not isinstance(weights, WeightAssignment):
-        weights = WeightAssignment.of(weights)
+    w = WeightAssignment.coerce(weights)
 
-    def yv(i: int) -> Fraction:
-        return Fraction(y.get(i, 0)) if g.ell <= i <= g.r else Fraction(0)
+    def yv(i: int) -> Fraction | int:
+        return y.get(i, 0) if g.ell <= i <= g.r else 0
 
-    total = Fraction(0)
+    levels = range(g.ell, g.r + 1)
+    off_cycle = {i: sum(yv(i - s) * w.get(i, s) for s in g.step_set) for i in levels}
+    on_cycle = {i: yv(i) - (1 if i == 0 else 0) for i in levels}
+    total = 0
     for config in enumerate_cycle_configurations(g):
-        term = Fraction((-1) ** len(config))
+        term = (-1) ** len(config)
         in_c = set()
         for verts, arcs in config:
             in_c.update(verts)
             for (tail, s) in arcs:
-                term *= weights.get(tail, s)
-        for i in range(g.ell, g.r + 1):
-            if i in in_c:
-                term *= yv(i) - (1 if i == 0 else 0)
-            else:
-                term *= sum(yv(i - s) * weights.get(i, s) for s in g.step_set)
+                term *= w.get(tail, s)
+        for i in levels:
+            term *= on_cycle[i] if i in in_c else off_cycle[i]
         total += term
-    return total
+    return Fraction(total)
 
 
 def closed_P_refined(g: CycleGraph, y: Mapping[int, Fraction | int],
@@ -206,21 +161,14 @@ def closed_P_refined(g: CycleGraph, y: Mapping[int, Fraction | int],
     """Closed form: prod_{i<0} x_{i,-1} prod_{i>0} x_{i,1}
     (sum_s x_{0,s} y_{-s}) prod_{l+1}^{r-1} y_i, with the same base-case
     exception as the unweighted lemma: x_{0,0} chi_{0 in S} when l = r = 0."""
-    if weights is None:
-        weights = WeightAssignment()
-    elif not isinstance(weights, WeightAssignment):
-        weights = WeightAssignment.of(weights)
+    weights = WeightAssignment.coerce(weights)
     if g.ell == 0 and g.r == 0:
-        return weights.get(0, 0) if 0 in g.step_set else Fraction(0)
+        return Fraction(weights.get(0, 0) if 0 in g.step_set else 0)
 
     def yv(i: int) -> Fraction:
         return Fraction(y.get(i, 0)) if g.ell <= i <= g.r else Fraction(0)
 
-    value = Fraction(1)
-    for i in range(g.ell, 0):
-        value *= weights.get(i, -1)
-    for i in range(1, g.r + 1):
-        value *= weights.get(i, 1)
+    value = Fraction(_spine(weights.get, g.ell, g.r))
     value *= sum(weights.get(0, s) * yv(-s) for s in g.step_set)
     for i in range(g.ell + 1, g.r):
         value *= yv(i)
@@ -321,10 +269,7 @@ def laplacian_minor_det(profile: Profile, step_set: StepSet,
     """
     if profile.n > 60:
         raise BudgetExceeded("dense exact determinant guard: n <= 60")
-    if weights is None:
-        weights = WeightAssignment()
-    elif not isinstance(weights, WeightAssignment):
-        weights = WeightAssignment.of(weights)
+    weights = WeightAssignment.coerce(weights)
     system = LaplacianSystem(profile, step_set, weights)
     minor = system.minor_without(Vertex(0, profile.count(0)))
     return bareiss_determinant(minor)
@@ -341,10 +286,7 @@ def spanning_product_formula(profile: Profile, step_set: StepSet,
     reduces to n^{n-2} rooted at a fixed vertex in the pure Cayley case.
     """
     p = profile
-    if weights is None:
-        weights = WeightAssignment()
-    elif not isinstance(weights, WeightAssignment):
-        weights = WeightAssignment.of(weights)
+    weights = WeightAssignment.coerce(weights)
     if p.ell == 0 and p.r == 0:
         if p.n == 1:
             return Fraction(1)
@@ -352,11 +294,7 @@ def spanning_product_formula(profile: Profile, step_set: StepSet,
             return Fraction(0)
         total = Fraction(p.count(0)) * weights.get(0, 0)
         return weights.get(0, 0) * total ** (p.n - 2)
-    value = Fraction(1)
-    for i in range(p.ell, 0):
-        value *= weights.get(i, -1)
-    for i in range(1, p.r + 1):
-        value *= weights.get(i, 1)
+    value = Fraction(_spine(weights.get, p.ell, p.r))
     for i in range(p.ell + 1, p.r):
         value *= p.count(i)
     for i, ni in p.items():
@@ -373,10 +311,7 @@ def spanning_trees_direct(profile: Profile, step_set: StepSet,
     p = profile
     if p.n > 6:
         raise BudgetExceeded("direct spanning-tree enumeration guard: n <= 6")
-    if weights is None:
-        weights = WeightAssignment()
-    elif not isinstance(weights, WeightAssignment):
-        weights = WeightAssignment.of(weights)
+    weights = WeightAssignment.coerce(weights)
     vset = VertexSet(p)
     if root is None:
         root = Vertex(0, p.count(0))
@@ -393,7 +328,7 @@ def spanning_trees_direct(profile: Profile, step_set: StepSet,
     total = Fraction(0)
     for combo in itertools.product(*choices):
         parent = {v: w for v, (w, _x) in zip(others, combo)}
-        if _parent_is_tree(parent, root, len(verts)):
+        if is_tree(parent, root):
             term = Fraction(1)
             for _v, (_w, x) in zip(others, combo):
                 term *= x
@@ -401,32 +336,13 @@ def spanning_trees_direct(profile: Profile, step_set: StepSet,
     return total
 
 
-def _parent_is_tree(parent: dict, root, n: int) -> bool:
-    depth = {root: 0}
-    for v in parent:
-        chain = []
-        w = v
-        while w not in depth:
-            chain.append(w)
-            w = parent.get(w)
-            if w is None or len(chain) > n:
-                return False
-        base = depth[w]
-        for j, u in enumerate(reversed(chain)):
-            depth[u] = base + j + 1
-    return True
-
-
 def cayley_from_spanning(profile: Profile, step_set: StepSet,
                          weights: WeightAssignment | Mapping | None = None
                          ) -> Fraction:
     """Embedded-tree generating function from the spanning-tree one:
     n_0 n! / prod_{i=l}^{r} n_i! times the rooted minor determinant."""
-    p = profile
-    factor = Fraction(p.count(0)) * math.factorial(p.n)
-    for _i, ni in p.items():
-        factor /= math.factorial(ni)
-    return factor * laplacian_minor_det(profile, step_set, weights)
+    return (profile.count(0) * _multinomial(profile.counts)
+            * laplacian_minor_det(profile, step_set, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +372,5 @@ def tree_in_tree_det(target: TargetTree) -> int:
     keep = [j for j in range(size) if j != root_idx]
     minor = [[Fraction(mat[r][c]) for c in keep] for r in keep]
     det = bareiss_determinant(minor)
-    factor = Fraction(t.count(t.root)) * math.factorial(t.n)
-    for _i, ni in t.counts:
-        factor /= math.factorial(ni)
-    return _as_int(factor * det, "tree-in-tree determinant count")
+    return _as_int(t.count(t.root) * _multinomial(c for _i, c in t.counts) * det,
+                   "tree-in-tree determinant count")

@@ -67,79 +67,29 @@ def _exact(value: int | Fraction) -> str:
 # count
 # ---------------------------------------------------------------------------
 
-def _explain_cayley(step_set: StepSet, profile: Profile) -> list[tuple[str, str]]:
-    p = profile
-    import math
-    rows = [("marked-vertex prefactor n_0/(n_ell n_r)",
-             _exact(Fraction(p.count(0), p.count(p.ell) * p.count(p.r))))]
-    denom = 1
-    for _i, ni in p.items():
-        denom *= math.factorial(ni - 1)
-    rows.append(("relabelings n!/prod (n_i-1)!",
-                 _exact(Fraction(math.factorial(p.n), denom))))
-    for i, ni in p.items():
-        rows.append((f"image choices at abscissa {i}: (sum_s n_{{i-s}})^(n_i-1)",
-                     _exact(formulas.neighbor_sum(p, step_set, i) ** (ni - 1))))
-    return rows
-
-
-def _explain_binary(profile: Profile) -> list[tuple[str, str]]:
-    p = profile
-    rows = [("marked-vertex prefactor n_0/(n_ell n_r)",
-             _exact(Fraction(p.count(0), p.count(p.ell) * p.count(p.r)))),
-            ("level 0: C(n_-1 + n_1, n_0 - 1)",
-             _exact(formulas.comb(p.count(-1) + p.count(1), p.count(0) - 1)))]
-    for i in p.abscissas():
-        if i != 0:
-            rows.append((f"level {i}: C(n_{{i-1}} + n_{{i+1}} - 1, n_i - 1)",
-                         _exact(formulas.comb(p.count(i - 1) + p.count(i + 1) - 1,
-                                              p.count(i) - 1))))
-    return rows
-
-
-def _explain_sary(step_set: StepSet, profile: Profile) -> list[tuple[str, str]]:
-    p = profile
-    rows = [("marked-vertex prefactor n_0/(n_ell n_r)",
-             _exact(Fraction(p.count(0), p.count(p.ell) * p.count(p.r)))),
-            ("level 0: C(sum_s n_-s, n_0 - 1)",
-             _exact(formulas.comb(formulas.neighbor_sum(p, step_set, 0),
-                                  p.count(0) - 1)))]
-    for i in p.abscissas():
-        if i != 0:
-            rows.append((f"level {i}: C(sum_s n_{{i-s}} - 1, n_i - 1)",
-                         _exact(formulas.comb(
-                             formulas.neighbor_sum(p, step_set, i) - 1,
-                             p.count(i) - 1))))
-    return rows
-
-
 def cmd_count(args) -> int:
     profile = _parse_profile(args.profile)
-    if args.kind == "binary":
-        value = formulas.count_binary_profile(profile)
-        rows = _explain_binary(profile) if args.explain else []
-    elif args.kind == "binary-horizontal":
+    if args.kind == "binary-horizontal":
         h = _parsed(lambda text: [int(x) for x in text.split(",")],
                     args.profile, InvalidProfile)
-        value = formulas.count_binary_horizontal(h)
-        rows = []
+        factors = formulas.binary_horizontal_factors(h)
+    elif args.kind == "binary":
+        factors = formulas.sary_factors(StepSet([-1, 1]), profile)
+    elif args.kind == "cayley":
+        factors = formulas.cayley_factors(_parse_steps(args.steps), profile)
+    elif args.kind == "sary":
+        factors = formulas.sary_factors(_parse_steps(args.steps), profile)
     else:
-        steps = _parse_steps(args.steps)
-        if args.kind == "cayley":
-            value = formulas.count_cayley_profile(steps, profile)
-            rows = _explain_cayley(steps, profile) if args.explain else []
-        elif args.kind == "sary":
-            value = formulas.count_sary_profile(steps, profile)
-            rows = _explain_sary(steps, profile) if args.explain else []
-        else:
-            raise ValueError(f"unknown count kind {args.kind!r}")
+        raise ValueError(f"unknown count kind {args.kind!r}")
+    value = formulas.product(factors, f"{args.kind} count")
     if args.json:
         print(canonical_json({"kind": args.kind, "profile": str(profile),
                               "count": _exact(value)}))
     else:
         print(_exact(value))
-        for label, factor in rows:
-            print(f"  {label} = {factor}")
+        if args.explain:
+            for label, factor in factors:
+                print(f"  {label} = {_exact(factor)}")
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # Sentinel step value for the out-type of the root (distinct from every int).
 EPS = "eps"
@@ -336,6 +336,22 @@ def satisfies_condition_f(f: SFunction) -> bool:
     return True
 
 
+def is_tree(parent: Mapping, root) -> bool:
+    """Whether following parent from every vertex of its domain reaches root
+    without a cycle.  O(n): each vertex is walked once."""
+    reached = {root}
+    for v in parent:
+        chain = []
+        w = v
+        while w not in reached:
+            chain.append(w)
+            w = parent.get(w)
+            if w is None or len(chain) > len(parent):
+                return False
+        reached.update(chain)
+    return True
+
+
 class MarkedSTree:
     """A rooted S-tree on V with a marked vertex at the top abscissa r.
 
@@ -368,19 +384,8 @@ class MarkedSTree:
             raise PreconditionViolated(f"mark {self.mark} not at abscissa r")
         if set(self.parent) != verts - {self.root}:
             raise PreconditionViolated("parent must be defined exactly on V \\ {root}")
-        n = vset.n
-        depth: dict[Vertex, int] = {self.root: 0}
-        for v in self.parent:
-            chain = []
-            w = v
-            while w not in depth:
-                chain.append(w)
-                w = self.parent.get(w)
-                if w is None or len(chain) > n:
-                    raise PreconditionViolated("parent map is not a tree")
-            base = depth[w]
-            for j, u in enumerate(reversed(chain)):
-                depth[u] = base + j + 1
+        if not is_tree(self.parent, self.root):
+            raise PreconditionViolated("parent map is not a tree")
         for v, w in self.parent.items():
             if (v.i - w.i) not in self.step_set:
                 raise PreconditionViolated(
@@ -552,16 +557,8 @@ class EmbeddedCayleyTree:
             raise PreconditionViolated("abscissa must be defined on all labels")
         if self.abscissa[self.root] != 0:
             raise PreconditionViolated("root must sit at abscissa 0")
-        seen = {self.root}
-        for v in self.parent:
-            chain = []
-            w = v
-            while w not in seen:
-                chain.append(w)
-                w = self.parent.get(w)
-                if w is None or len(chain) > self.n:
-                    raise PreconditionViolated("parent map is not a tree")
-            seen.update(chain)
+        if not is_tree(self.parent, self.root):
+            raise PreconditionViolated("parent map is not a tree")
         for v, w in self.parent.items():
             if (self.abscissa[v] - self.abscissa[w]) not in self.step_set:
                 raise PreconditionViolated(f"edge {v} -> {w} has step outside S")
@@ -597,12 +594,13 @@ class EmbeddedCayleyTree:
         return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SAryTree:
     """A plane tree with at most one child per step s in S at each vertex.
 
     Children are stored as (step, subtree) pairs sorted by step; equality is
     structural, which is exactly equivalence of injective embeddings.
+    Equality and hashing are iterative, so any height is fine.
     """
 
     abscissa: int
@@ -616,6 +614,18 @@ class SAryTree:
             yield node
             stack.extend(c for _, c in node.children)
 
+    def _key(self) -> tuple:
+        """Depth-first (abscissa, child steps) of every node: a flat tuple
+        that determines the tree."""
+        return tuple((node.abscissa, tuple(s for s, _c in node.children))
+                     for node in self.nodes())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SAryTree) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def size(self) -> int:
         return sum(1 for _ in self.nodes())
 
@@ -627,17 +637,38 @@ class SAryTree:
         return Profile([counts.get(i, 0) for i in range(lo, hi + 1)], ell=lo)
 
 
-def shape_key(tree: EmbeddedCayleyTree):
+def shape_key(tree: EmbeddedCayleyTree) -> tuple:
     """Canonical shape of an embedded Cayley tree: equal keys iff the trees
-    are equivalent (differ only by a renaming of the labels)."""
+    are equivalent (differ only by a renaming of the labels).
+
+    Subtree shapes are ranked height by height, ordered by (height,
+    abscissa, sorted child ranks); the key lists the distinct shapes of each
+    height.  Iterative and flat, so any height is fine.
+    """
     children: dict[int, list[int]] = {v: [] for v in range(1, tree.n + 1)}
     for v, w in tree.parent.items():
         children[w].append(v)
-
-    def encode(v: int):
-        return (tree.abscissa[v], tuple(sorted(encode(c) for c in children[v])))
-
-    return encode(tree.root)
+    order = [tree.root]
+    for v in order:  # breadth first, so every child comes after its parent
+        order.extend(children[v])
+    height: dict[int, int] = {}
+    for v in reversed(order):
+        height[v] = max((height[c] + 1 for c in children[v]), default=0)
+    levels: list[list[int]] = [[] for _ in range(height[tree.root] + 1)]
+    for v in order:
+        levels[height[v]].append(v)
+    rank: dict[int, int] = {}
+    key = []
+    offset = 0  # distinct shapes of the lower heights
+    for level in levels:
+        shape = {v: (tree.abscissa[v], tuple(sorted(rank[c] for c in children[v])))
+                 for v in level}
+        distinct = sorted(set(shape.values()))
+        index = {s: offset + j for j, s in enumerate(distinct)}
+        offset += len(distinct)
+        rank.update((v, index[s]) for v, s in shape.items())
+        key.append(tuple(distinct))
+    return tuple(key)
 
 
 def equivalent(t1: EmbeddedCayleyTree, t2: EmbeddedCayleyTree) -> bool:

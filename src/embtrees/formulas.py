@@ -9,9 +9,9 @@ edge cases (r = 0, ell = 0, n_i = 1) evaluate without special-casing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import (
     BigCount,
@@ -32,6 +32,9 @@ InDist = Mapping[tuple[int, CVec], int]
 CompleteDist = Mapping[tuple[int, int, CVec], int]
 
 
+Factors = list[tuple[str, Fraction | int]]
+
+
 def comb(a: int, b: int) -> int:
     """Binomial coefficient with C(a, b) = 0 for b < 0 or b > a."""
     if b < 0 or b > a:
@@ -45,16 +48,50 @@ def _as_int(x: Fraction, what: str) -> BigCount:
     return x.numerator
 
 
+def _ratio(factors: Factors) -> tuple[int, int]:
+    num = den = 1
+    for _label, x in factors:
+        num *= x.numerator
+        den *= x.denominator
+    return num, den
+
+
+def product(factors: Factors, what: str) -> BigCount:
+    """The count a list of labelled exact factors stands for.
+
+    The numerators and the denominators are multiplied separately and divided
+    once; a product that is not an integer raises NonIntegerResult.
+    """
+    num, den = _ratio(factors)
+    quotient, rest = divmod(num, den)
+    if rest:
+        raise NonIntegerResult(f"{what} evaluated to non-integer {Fraction(num, den)}")
+    return quotient
+
+
 def neighbor_sum(profile: Profile, step_set: StepSet, i: int) -> int:
     """sum_{s in S} n_{i-s}, with n_j = 0 outside [ell, r]."""
     return sum(profile.count(i - s) for s in step_set)
+
+
+def _spine(x: Callable[[int, int], Fraction | int], ell: int, r: int) -> Fraction | int:
+    """prod_{i<0} x(i, -1) prod_{i>0} x(i, 1), the factor of the out-steps
+    along the spine ell^1 -> ... -> 0^1 <- ... <- r^1."""
+    return (math.prod(x(i, -1) for i in range(ell, 0))
+            * math.prod(x(i, 1) for i in range(1, r + 1)))
+
+
+def _multinomial(parts: Iterable[int]) -> int:
+    """(sum parts)! / prod parts!."""
+    parts = list(parts)
+    return math.factorial(sum(parts)) // math.prod(math.factorial(c) for c in parts)
 
 
 # ---------------------------------------------------------------------------
 # profile formulas
 # ---------------------------------------------------------------------------
 
-def count_binary_horizontal(h: Iterable[int]) -> BigCount:
+def binary_horizontal_factors(h: Iterable[int]) -> Factors:
     """Binary trees with horizontal profile (1, h_1, ..., h_k):
     prod_i C(2 h_i, h_{i+1})."""
     h = list(h)
@@ -62,53 +99,81 @@ def count_binary_horizontal(h: Iterable[int]) -> BigCount:
         raise InvalidProfile("horizontal profile must start with h_0 = 1")
     if any(c < 1 for c in h):
         raise InvalidProfile("horizontal profile counts must be positive")
-    total = 1
-    for a, b in zip(h, h[1:]):
-        total *= comb(2 * a, b)
-    return total
+    return [(f"level {i}: C(2 h_i, h_{{i+1}})", comb(2 * a, b))
+            for i, (a, b) in enumerate(zip(h, h[1:]))]
 
 
-def count_binary_profile(profile: Profile) -> BigCount:
-    """Binary trees with a given vertical profile:
-    (n_0 / (n_ell n_r)) C(n_-1 + n_1, n_0 - 1)
-    prod_{i != 0} C(n_{i-1} + n_{i+1} - 1, n_i - 1)."""
-    p = profile
-    value = Fraction(p.count(0), p.count(p.ell) * p.count(p.r))
-    value *= comb(p.count(-1) + p.count(1), p.count(0) - 1)
-    for i in p.abscissas():
-        if i != 0:
-            value *= comb(p.count(i - 1) + p.count(i + 1) - 1, p.count(i) - 1)
-    return _as_int(value, "binary profile count")
+def count_binary_horizontal(h: Iterable[int]) -> BigCount:
+    """Binary trees with horizontal profile h (binary_horizontal_factors)."""
+    return product(binary_horizontal_factors(h), "binary horizontal count")
 
 
-def count_cayley_profile(step_set: StepSet, profile: Profile) -> BigCount:
-    """S-embedded Cayley trees with a given vertical profile:
-    (n_0 / (n_ell n_r)) (n! / prod (n_i - 1)!) prod_i (sum_s n_{i-s})^{n_i-1}.
+def _marked_vertex(p: Profile) -> tuple[str, Fraction]:
+    return ("marked-vertex prefactor n_0/(n_ell n_r)",
+            Fraction(p.count(0), p.count(p.ell) * p.count(p.r)))
+
+
+def _image_choices(step_set: StepSet, p: Profile,
+                   w: WeightAssignment | None = None) -> Factors:
+    """(sum_s n_{i-s} x_{i,s})^(n_i-1) for every abscissa i; x = 1 without w."""
+    x = "" if w is None else " x_{i,s}"
+    return [(f"image choices at abscissa {i}: (sum_s n_{{i-s}}{x})^(n_i-1)",
+             (neighbor_sum(p, step_set, i) if w is None else
+              sum(p.count(i - s) * w.get(i, s) for s in step_set)) ** (ni - 1))
+            for i, ni in p.items()]
+
+
+def cayley_factors(step_set: StepSet, profile: Profile,
+                   weights: WeightAssignment | Mapping | None = None) -> Factors:
+    """S-embedded Cayley trees with a given vertical profile, x_{i,s} marking
+    the vertices of out-type (i;s) (all x = 1 when weights is None):
+    (n_0/(n_ell n_r)) (n!/prod (n_i-1)!) prod_{i<0} x_{i,-1} prod_{i>0} x_{i,1}
+    prod_i (sum_s n_{i-s} x_{i,s})^{n_i-1}.
 
     Requires min S = -1 or ell = 0.
     """
     p = profile
     _require_profile_hypotheses(step_set, p)
-    value = Fraction(p.count(0), p.count(p.ell) * p.count(p.r))
-    value *= math.factorial(p.n)
-    for i, ni in p.items():
-        value /= math.factorial(ni - 1)
-        value *= neighbor_sum(p, step_set, i) ** (ni - 1)
-    return _as_int(value, "Cayley profile count")
+    rows = [_marked_vertex(p),
+            ("relabelings n!/prod (n_i-1)!", math.factorial(p.n) // math.prod(
+                math.factorial(ni - 1) for _i, ni in p.items()))]
+    if weights is None:
+        return rows + _image_choices(step_set, p)
+    w = WeightAssignment.coerce(weights)
+    rows.append(("spine weights prod_{i<0} x_{i,-1} prod_{i>0} x_{i,1}",
+                 _spine(w.get, p.ell, p.r)))
+    return rows + _image_choices(step_set, p, w)
 
 
-def count_sary_profile(step_set: StepSet, profile: Profile) -> BigCount:
+def count_cayley_profile(step_set: StepSet, profile: Profile) -> BigCount:
+    """S-embedded Cayley trees with a given vertical profile (cayley_factors
+    at x = 1).  Requires min S = -1 or ell = 0."""
+    return product(cayley_factors(step_set, profile), "Cayley profile count")
+
+
+def sary_factors(step_set: StepSet, profile: Profile) -> Factors:
     """S-ary trees with a given vertical profile:
     (n_0 / (n_ell n_r)) C(sum_s n_{-s}, n_0 - 1)
     prod_{i != 0} C(sum_s n_{i-s} - 1, n_i - 1)."""
     p = profile
     _require_profile_hypotheses(step_set, p)
-    value = Fraction(p.count(0), p.count(p.ell) * p.count(p.r))
-    value *= comb(neighbor_sum(p, step_set, 0), p.count(0) - 1)
-    for i, ni in p.items():
-        if i != 0:
-            value *= comb(neighbor_sum(p, step_set, i) - 1, ni - 1)
-    return _as_int(value, "S-ary profile count")
+    return [_marked_vertex(p),
+            ("level 0: C(sum_s n_-s, n_0 - 1)",
+             comb(neighbor_sum(p, step_set, 0), p.count(0) - 1)),
+            *((f"level {i}: C(sum_s n_{{i-s}} - 1, n_i - 1)",
+               comb(neighbor_sum(p, step_set, i) - 1, ni - 1))
+              for i, ni in p.items() if i != 0)]
+
+
+def count_sary_profile(step_set: StepSet, profile: Profile) -> BigCount:
+    """S-ary trees with a given vertical profile (sary_factors)."""
+    return product(sary_factors(step_set, profile), "S-ary profile count")
+
+
+def count_binary_profile(profile: Profile) -> BigCount:
+    """Binary trees with a given vertical profile: the S-ary count at
+    S = {-1, 1}."""
+    return count_sary_profile(StepSet([-1, 1]), profile)
 
 
 def _require_profile_hypotheses(step_set: StepSet, profile: Profile) -> None:
@@ -165,10 +230,7 @@ def count_cayley_out(step_set: StepSet, out: OutDist) -> BigCount:
     value = Fraction(math.factorial(prof.n))
     for i, ni in prof.items():
         value *= Fraction(ni) ** (_c_of(out, step_set, i) - 1)
-    for i in range(prof.ell, 0):
-        value *= out.get((i, -1), 0)
-    for i in range(1, prof.r + 1):
-        value *= out.get((i, 1), 0)
+    value *= _spine(lambda i, s: out.get((i, s), 0), prof.ell, prof.r)
     for c in out.values():
         value /= math.factorial(c)
     return _as_int(value, "Cayley out-type count")
@@ -178,11 +240,7 @@ def count_sary_out(step_set: StepSet, out: OutDist) -> BigCount:
     """S-ary trees with n(i,s) non-root vertices of out-type (i;s):
     (prod_{i<0} n(i,-1) prod_{i>0} n(i,1) / prod_i n_i) prod C(n_{i-s}, n(i,s))."""
     prof = _check_out_dist(step_set, out)
-    value = Fraction(1)
-    for i in range(prof.ell, 0):
-        value *= out.get((i, -1), 0)
-    for i in range(1, prof.r + 1):
-        value *= out.get((i, 1), 0)
+    value = Fraction(_spine(lambda i, s: out.get((i, s), 0), prof.ell, prof.r))
     for _i, ni in prof.items():
         value /= ni
     for (i, s), c in out.items():
@@ -195,41 +253,32 @@ class WeightAssignment:
     """Exact rational weights x_{i,s} on out-types, defaulting to 1."""
 
     weights: tuple[tuple[tuple[int, int], Fraction], ...] = ()
+    _table: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_table", dict(self.weights))
 
     @staticmethod
     def of(mapping: Mapping[tuple[int, int], Fraction | int]) -> "WeightAssignment":
         return WeightAssignment(tuple(sorted(
             ((i, s), Fraction(w)) for (i, s), w in mapping.items())))
 
-    def get(self, i: int, s: int) -> Fraction:
-        for (j, t), w in self.weights:
-            if (j, t) == (i, s):
-                return w
-        return Fraction(1)
+    @staticmethod
+    def coerce(weights: "WeightAssignment | Mapping | None") -> "WeightAssignment":
+        """The assignment itself, one built from a mapping, or all ones for None."""
+        if isinstance(weights, WeightAssignment):
+            return weights
+        return WeightAssignment.of(weights or {})
+
+    def get(self, i: int, s: int) -> Fraction | int:
+        return self._table.get((i, s), 1)
 
 
 def eval_out_gf(step_set: StepSet, profile: Profile,
                 weights: WeightAssignment | Mapping | None = None) -> Fraction:
     """Generating function of S-embedded Cayley trees with the given profile,
-    x_{i,s} marking vertices of out-type (i;s):
-    (n_0/(n_ell n_r)) (n!/prod (n_i-1)!) prod_{i<0} x_{i,-1} prod_{i>0} x_{i,1}
-    prod_i (sum_s n_{i-s} x_{i,s})^{n_i-1}."""
-    p = profile
-    _require_profile_hypotheses(step_set, p)
-    if weights is None:
-        weights = WeightAssignment()
-    elif not isinstance(weights, WeightAssignment):
-        weights = WeightAssignment.of(weights)
-    value = Fraction(p.count(0), p.count(p.ell) * p.count(p.r))
-    value *= math.factorial(p.n)
-    for i in range(p.ell, 0):
-        value *= weights.get(i, -1)
-    for i in range(1, p.r + 1):
-        value *= weights.get(i, 1)
-    for i, ni in p.items():
-        value /= math.factorial(ni - 1)
-        value *= sum(p.count(i - s) * weights.get(i, s) for s in step_set) ** (ni - 1)
-    return value
+    x_{i,s} marking vertices of out-type (i;s): the product of cayley_factors."""
+    return Fraction(*_ratio(cayley_factors(step_set, profile, weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +348,7 @@ def count_cayley_in(step_set: StepSet, inn: InDist) -> BigCount:
     value = Fraction(math.factorial(prof.n))
     for _i, ni in prof.items():
         value *= math.factorial(ni - 1)
-    for i in range(prof.ell, 0):
-        value *= out.get((i, -1), 0)
-    for i in range(1, prof.r + 1):
-        value *= out.get((i, 1), 0)
+    value *= _spine(lambda i, s: out.get((i, s), 0), prof.ell, prof.r)
     for c in inn.values():
         value /= math.factorial(c)
     for (_s, b), cnt in nsb.items():
@@ -445,26 +491,44 @@ def count_function_family(kind: str, regime: str, step_set: StepSet, *,
     of every vertex; the *_counted kinds prescribe only the number of
     vertices of each type.  in_fixed with regime="general" counts the relaxed
     family where f(-1^1) need not land in V_0.
+
+    A counted kind is its tree count (the bijections preserve the constraint)
+    times kappa = n_r (n_ell if ell < 0 else 1) prod (n_i-1)! / n!; the
+    injective kinds count S-ary trees, which carry no labels, so without /n!.
     """
     if regime not in ("nonneg", "general"):
         raise ValueError(f"unknown regime {regime!r}")
-    dispatch = {
-        "profile": _ff_profile,
-        "injective_profile": _ff_injective_profile,
-        "out_fixed": _ff_out_fixed,
-        "out_counted": _ff_out_counted,
-        "injective_out_fixed": _ff_injective_out_fixed,
-        "injective_out_counted": _ff_injective_out_counted,
-        "in_fixed": _ff_in_fixed,
-        "in_counted": _ff_in_counted,
-        "complete_fixed": _ff_complete_fixed,
-        "complete_counted": _ff_complete_counted,
+    if kind.startswith("complete") and regime != "nonneg":
+        raise HypothesisViolation("complete-type counting is nonneg only")
+    if kind in _FIXED_KINDS:
+        return _FIXED_KINDS[kind](regime, step_set, out=out,
+                                  vertex_in_types=vertex_in_types)
+    counted = {  # kind: (its profile, its tree count)
+        "profile": (lambda: profile, lambda: count_cayley_profile(step_set, profile)),
+        "injective_profile": (lambda: profile,
+                              lambda: count_sary_profile(step_set, profile)),
+        "out_counted": (lambda: _check_out_dist(step_set, out),
+                        lambda: count_cayley_out(step_set, out)),
+        "injective_out_counted": (lambda: _check_out_dist(step_set, out),
+                                  lambda: count_sary_out(step_set, out)),
+        "in_counted": (lambda: _check_in_dist(step_set, inn)[0],
+                       lambda: count_cayley_in(step_set, inn)),
+        "complete_counted": (
+            lambda: _check_complete_dist(step_set, root_in, complete)[0],
+            lambda: count_cayley_complete(step_set, root_in, complete)),
     }
-    if kind not in dispatch:
+    if kind not in counted:
         raise ValueError(f"unknown kind {kind!r}")
-    return dispatch[kind](regime, step_set, profile=profile, out=out, inn=inn,
-                          complete=complete, vertex_in_types=vertex_in_types,
-                          root_in=root_in)
+    profile_of, trees = counted[kind]
+    prof = profile_of()
+    _general_ok(regime, step_set, prof.ell)
+    kappa = [("n_r", prof.count(prof.r)),
+             ("n_ell if ell < 0", prof.count(prof.ell) if prof.ell < 0 else 1),
+             ("prod (n_i-1)!", math.prod(math.factorial(ni - 1) for _i, ni in prof.items()))]
+    if not kind.startswith("injective"):
+        kappa.append(("1/n!", Fraction(1, math.factorial(prof.n))))
+    return product([("trees", trees()), *kappa],
+                   f"{kind} function count")
 
 
 def _general_ok(regime: str, step_set: StepSet, ell: int) -> None:
@@ -472,32 +536,6 @@ def _general_ok(regime: str, step_set: StepSet, ell: int) -> None:
         raise HypothesisViolation("nonneg regime needs ell = 0")
     if ell < 0 and step_set.m != -1:
         raise HypothesisViolation("ell < 0 needs min S = -1")
-
-
-def _ff_profile(regime, step_set, *, profile, **_kw) -> BigCount:
-    p = profile
-    _general_ok(regime, step_set, p.ell)
-    value = p.count(0) if p.ell < 0 else 1
-    for i, ni in p.items():
-        value *= neighbor_sum(p, step_set, i) ** (ni - 1)
-    return value
-
-
-def _ff_injective_profile(regime, step_set, *, profile, **_kw) -> BigCount:
-    p = profile
-    _general_ok(regime, step_set, p.ell)
-    if p.ell == 0:
-        value = comb(neighbor_sum(p, step_set, 0), p.count(0) - 1)
-        for i in range(1, p.r + 1):
-            value *= comb(neighbor_sum(p, step_set, i) - 1, p.count(i) - 1)
-    else:
-        value = p.count(0) * comb(neighbor_sum(p, step_set, 0), p.count(0) - 1)
-        for i in p.abscissas():
-            if i != 0:
-                value *= comb(neighbor_sum(p, step_set, i) - 1, p.count(i) - 1)
-    for _i, ni in p.items():
-        value *= math.factorial(ni - 1)
-    return value
 
 
 def _ff_out_fixed(regime, step_set, *, out, **_kw) -> BigCount:
@@ -511,24 +549,6 @@ def _ff_out_fixed(regime, step_set, *, out, **_kw) -> BigCount:
     return _as_int(Fraction(value), "out_fixed function count")
 
 
-def _ff_out_counted(regime, step_set, *, out, **_kw) -> BigCount:
-    prof = _check_out_dist(step_set, out)
-    _general_ok(regime, step_set, prof.ell)
-    value = Fraction(prof.count(prof.r))
-    if prof.ell < 0:
-        value *= prof.count(prof.ell)
-    for i, ni in prof.items():
-        value *= math.factorial(ni - 1)
-        value *= Fraction(ni) ** (_c_of(out, step_set, i) - 1)
-    for i in range(prof.ell, 0):
-        value *= out.get((i, -1), 0)
-    for i in range(1, prof.r + 1):
-        value *= out.get((i, 1), 0)
-    for c in out.values():
-        value /= math.factorial(c)
-    return _as_int(value, "out_counted function count")
-
-
 def _ff_injective_out_fixed(regime, step_set, *, out, **_kw) -> BigCount:
     prof = _check_out_dist(step_set, out)
     _general_ok(regime, step_set, prof.ell)
@@ -540,24 +560,6 @@ def _ff_injective_out_fixed(regime, step_set, *, out, **_kw) -> BigCount:
     for (i, s), c in out.items():
         value *= math.factorial(c) * comb(prof.count(i - s), c)
     return _as_int(value, "injective_out_fixed function count")
-
-
-def _ff_injective_out_counted(regime, step_set, *, out, **_kw) -> BigCount:
-    prof = _check_out_dist(step_set, out)
-    _general_ok(regime, step_set, prof.ell)
-    value = Fraction(1)
-    for _i, ni in prof.items():
-        value *= math.factorial(ni - 1)
-    for i in range(prof.ell, 0):
-        value *= out.get((i, -1), 0)
-    for i in range(1, prof.r + 1):
-        value *= out.get((i, 1), 0)
-    lo = prof.ell + 1 if prof.ell < 0 else 0
-    for i in range(lo, prof.r):
-        value /= prof.count(i)
-    for (i, s), c in out.items():
-        value *= comb(prof.count(i - s), c)
-    return _as_int(value, "injective_out_counted function count")
 
 
 def _ff_in_fixed(regime, step_set, *, vertex_in_types, **_kw) -> BigCount:
@@ -590,31 +592,9 @@ def _ff_in_fixed(regime, step_set, *, vertex_in_types, **_kw) -> BigCount:
     return _as_int(value, "in_fixed function count")
 
 
-def _ff_in_counted(regime, step_set, *, inn, **_kw) -> BigCount:
-    prof, m = _check_in_dist(step_set, inn)
-    _general_ok(regime, step_set, prof.ell)
-    nsb, out = _in_derived(inn, m)
-    value = Fraction(prof.count(prof.r))
-    if prof.ell < 0:
-        value *= prof.count(prof.ell)
-    for _i, ni in prof.items():
-        value *= math.factorial(ni - 1) ** 2
-    for i in range(prof.ell, 0):
-        value *= out.get((i, -1), 0)
-    for i in range(1, prof.r + 1):
-        value *= out.get((i, 1), 0)
-    for c in inn.values():
-        value /= math.factorial(c)
-    for (_s, b), cnt in nsb.items():
-        value /= Fraction(math.factorial(b)) ** cnt
-    return _as_int(value, "in_counted function count")
-
-
 def _ff_complete_fixed(regime, step_set, *, vertex_in_types, out, **_kw) -> BigCount:
     """Prescribed complete type for every vertex: in-types per vertex plus the
     induced out-distribution (nonneg, 0 not in S)."""
-    if regime != "nonneg":
-        raise HypothesisViolation("complete-type counting is nonneg only")
     m = step_set.m
     expected = tuple(range(m, 0)) + (1,)
     if step_set.steps != expected:
@@ -643,46 +623,24 @@ def _ff_complete_fixed(regime, step_set, *, vertex_in_types, out, **_kw) -> BigC
     return _as_int(value, "complete_fixed function count")
 
 
-def _ff_complete_counted(regime, step_set, *, complete, root_in, **_kw) -> BigCount:
-    if regime != "nonneg":
-        raise HypothesisViolation("complete-type counting is nonneg only")
-    prof, m = _check_complete_dist(step_set, root_in, complete)
-    if prof.r == 0:
-        return 1
-    out: dict[tuple[int, int], int] = {}
-    nsb: dict[tuple[int, int], int] = {}
-    n1ib: dict[tuple[int, int], int] = {}
-    for (i, s, cv), c in complete.items():
-        if c == 0:
-            continue
-        out[(i, s)] = out.get((i, s), 0) + c
-        for idx, b in enumerate(cv):
-            nsb[(m + idx, b)] = nsb.get((m + idx, b), 0) + c
-        if s == 1:
-            n1ib[(i, cv[1 - m])] = n1ib.get((i, cv[1 - m]), 0) + c
-    nsb[(1, root_in[1 - m])] = nsb.get((1, root_in[1 - m]), 0) + 1
-    value = Fraction(root_in[1 - m]) * prof.count(prof.r)
-    for _i, ni in prof.items():
-        value *= math.factorial(ni - 1)
-    for cnt in out.values():
-        value *= math.factorial(cnt)
-    for i in range(1, prof.r):
-        value *= sum(b * n1ib.get((i, b), 0) for b in range(1, prof.n + 1))
-    for c in complete.values():
-        value /= math.factorial(c)
-    for (_s, b), cnt in nsb.items():
-        value /= Fraction(math.factorial(b)) ** cnt
-    for i in range(1, prof.r + 1):
-        ni1 = out.get((i, 1), 0)
-        if ni1 == 0:
-            return 0
-        value /= ni1
-    return _as_int(value, "complete_counted function count")
+_FIXED_KINDS = {"out_fixed": _ff_out_fixed,
+                "injective_out_fixed": _ff_injective_out_fixed,
+                "in_fixed": _ff_in_fixed,
+                "complete_fixed": _ff_complete_fixed}
 
 
 # ---------------------------------------------------------------------------
 # product formulas beyond min S = -1 (two explicit cases)
 # ---------------------------------------------------------------------------
+
+def _negative_ell_factors(step_set: StepSet, p: Profile,
+                          bracket: tuple[str, int]) -> Factors:
+    """(n!/prod n_i!) prod_{i=0}^{r-1} n_i prod_i (sum_s n_{i-s})^{n_i-1}
+    times the bracket of the given ell."""
+    return [("relabelings n!/prod n_i!", _multinomial(p.counts)),
+            ("prod_{i=0}^{r-1} n_i", math.prod(p.count(i) for i in range(0, p.r))),
+            *_image_choices(step_set, p), bracket]
+
 
 def count_cayley_profile_ell1(step_set: StepSet, profile: Profile) -> BigCount:
     """S-embedded Cayley trees with ell = -1 (any S with max S = 1):
@@ -691,15 +649,9 @@ def count_cayley_profile_ell1(step_set: StepSet, profile: Profile) -> BigCount:
     p = profile
     if p.ell != -1:
         raise HypothesisViolation(f"this formula needs ell = -1, got {p.ell}")
-    value = Fraction(math.factorial(p.n))
-    for _i, ni in p.items():
-        value /= math.factorial(ni)
-    for i in range(0, p.r):
-        value *= p.count(i)
-    for i, ni in p.items():
-        value *= neighbor_sum(p, step_set, i) ** (ni - 1)
-    value *= sum(p.count(-s - 1) for s in step_set if s <= -1)
-    return _as_int(value, "ell = -1 profile count")
+    bracket = sum(p.count(-s - 1) for s in step_set if s <= -1)
+    return product(_negative_ell_factors(
+        step_set, p, ("bracket sum_{s<=-1} n_{-s-1}", bracket)), "ell = -1 profile count")
 
 
 def count_cayley_profile_ell2(step_set: StepSet, profile: Profile) -> BigCount:
@@ -709,18 +661,12 @@ def count_cayley_profile_ell2(step_set: StepSet, profile: Profile) -> BigCount:
     p = profile
     if p.ell != -2:
         raise HypothesisViolation(f"this formula needs ell = -2, got {p.ell}")
-    value = Fraction(math.factorial(p.n))
-    for _i, ni in p.items():
-        value /= math.factorial(ni)
-    for i in range(0, p.r):
-        value *= p.count(i)
-    for i, ni in p.items():
-        value *= neighbor_sum(p, step_set, i) ** (ni - 1)
     bracket = p.count(-2) * sum(p.count(-s - 2) for s in step_set if s <= -2)
     bracket += (sum(p.count(-s - 2) for s in step_set if s <= -1)
                 * sum(p.count(-s - 1) for s in step_set if s <= -1))
-    value *= bracket
-    return _as_int(value, "ell = -2 profile count")
+    return product(_negative_ell_factors(step_set, p, (
+        "bracket n_-2 sum_{s<=-2} n_{-s-2} + (sum_{s<=-1} n_{-s-2})(sum_{s<=-1} n_{-s-1})",
+        bracket)), "ell = -2 profile count")
 
 
 # ---------------------------------------------------------------------------
@@ -789,16 +735,21 @@ class TargetTree:
         return sum(c for _i, c in self.counts)
 
 
-def count_tree_in_tree(target: TargetTree) -> BigCount:
+def tree_in_tree_factors(target: TargetTree) -> Factors:
     """Surjective target-embedded Cayley trees with the given multiplicities:
     n_rho (n!/prod n_i!) prod_i ((sum_{j~i} n_j)^{n_i-1} n_i^{deg(i)-1})."""
     t = target
-    if len(t.nodes) == 1:
-        return t.n ** (t.n - 1)  # every rooted Cayley tree embeds
+    if len(t.nodes) == 1:  # every rooted Cayley tree embeds
+        return [("rooted Cayley trees n^(n-1)", t.n ** (t.n - 1))]
     adj = t.adjacency()
-    value = Fraction(t.count(t.root)) * math.factorial(t.n)
-    for i, ni in t.counts:
-        value /= math.factorial(ni)
-        value *= sum(t.count(j) for j in adj[i]) ** (ni - 1)
-        value *= Fraction(ni) ** (len(adj[i]) - 1)
-    return _as_int(value, "tree-in-tree count")
+    counts = dict(t.counts)
+    return [("root multiplicity n_rho", counts[t.root]),
+            ("relabelings n!/prod n_i!", _multinomial(counts.values())),
+            *((f"node {i}: (sum_{{j~i}} n_j)^(n_i-1) n_i^(deg(i)-1)",
+               sum(counts[j] for j in adj[i]) ** (ni - 1) * ni ** (len(adj[i]) - 1))
+              for i, ni in t.counts)]
+
+
+def count_tree_in_tree(target: TargetTree) -> BigCount:
+    """Surjective target-embedded Cayley trees (tree_in_tree_factors)."""
+    return product(tree_in_tree_factors(target), "tree-in-tree count")

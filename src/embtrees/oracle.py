@@ -27,6 +27,7 @@ from .core import (
     condition_t1,
     condition_t2,
     allowed_images,
+    is_tree,
     embedded_cayley_to_json,
     marked_stree_to_json,
     sary_to_json,
@@ -41,32 +42,21 @@ class EnumerationBudget:
 
     max_size: int = 7
     max_candidates: int = 200_000_000
-    on_exceed: str = "error"  # or "skip"
 
     def __post_init__(self):
         if self.max_size < 1:
             raise ValueError("max_size must be >= 1")
         self._steps = 0
 
-    def charge(self, amount: int = 1) -> bool:
-        """Account for work; returns False if the budget says to stop."""
+    def charge(self, amount: int = 1) -> None:
+        """Account for work; raises BudgetExceeded past the step cap."""
         self._steps += amount
         if self._steps > self.max_candidates:
-            if self.on_exceed == "error":
-                raise BudgetExceeded(
-                    f"enumeration exceeded {self.max_candidates} steps")
-            return False
-        return True
+            raise BudgetExceeded(f"enumeration exceeded {self.max_candidates} steps")
 
     def check_size(self, n: int) -> None:
         if n > self.max_size:
-            if self.on_exceed == "error":
-                raise BudgetExceeded(
-                    f"object size {n} exceeds budget {self.max_size}")
-            raise StopIteration
-
-
-DEFAULT_BUDGET = EnumerationBudget()
+            raise BudgetExceeded(f"object size {n} exceeds budget {self.max_size}")
 
 
 def _budget(budget: EnumerationBudget | None) -> EnumerationBudget:
@@ -158,8 +148,7 @@ def enumerate_sfunctions(step_set: StepSet, profile: Profile, regime: str,
         else:
             domains.insert(0, vset.level(0))
     for choice in itertools.product(*domains):
-        if not budget.charge():
-            return
+        budget.charge()
         image = dict(forced)
         image.update(zip(free, choice))
         f = SFunction(vset, step_set, image, validate=False)
@@ -242,27 +231,10 @@ def _enumerate_strees(vset: VertexSet, step_set: StepSet, roots: list[Vertex],
         domains = [[w for w in allowed_images(vset, step_set, v) if w != v]
                    for v in others]
         for choice in itertools.product(*domains):
-            if not budget.charge():
-                return
+            budget.charge()
             parent = dict(zip(others, choice))
-            if _is_tree(parent, root, len(verts)):
+            if is_tree(parent, root):
                 yield root, parent
-
-
-def _is_tree(parent: dict, root, n: int) -> bool:
-    depth = {root: 0}
-    for v in parent:
-        chain = []
-        w = v
-        while w not in depth:
-            chain.append(w)
-            w = parent.get(w)
-            if w is None or len(chain) > n:
-                return False
-        base = depth[w]
-        for j, u in enumerate(reversed(chain)):
-            depth[u] = base + j + 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +256,7 @@ def rooted_cayley_trees(n: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]
                 parent = dict(zip(others, choice))
                 if any(parent[v] == v for v in others):
                     continue
-                if _is_tree(parent, root, n):
+                if is_tree(parent, root):
                     trees.append((root, tuple(zip(others, choice))))
         assert len(trees) == n ** (n - 1)
         _ROOTED_TREE_CACHE[n] = trees
@@ -294,8 +266,7 @@ def rooted_cayley_trees(n: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]
 def _rooted_cayley_trees(n: int, budget: EnumerationBudget,
                          ) -> Iterator[tuple[int, dict[int, int]]]:
     for root, pairs in rooted_cayley_trees(n):
-        if not budget.charge(n):
-            return
+        budget.charge(n)
         yield root, dict(pairs)
 
 
@@ -329,8 +300,7 @@ def enumerate_embedded_cayley(step_set: StepSet | LooseStepSet | Iterable[int],
         remaining[0] -= 1
 
         def assign(idx: int) -> Iterator[dict[int, int]]:
-            if not budget.charge():
-                return
+            budget.charge()
             if idx == len(order):
                 if all(c == 0 for c in remaining.values()):
                     yield dict(abscissa)
@@ -373,8 +343,7 @@ def enumerate_sary(step_set: StepSet | LooseStepSet | Iterable[int],
     def grow(abscissa: int) -> Iterator[SAryTree]:
         """All subtrees rooted at a vertex already placed at `abscissa`,
         consuming whatever profile mass each uses."""
-        if not budget.charge():
-            return
+        budget.charge()
 
         def slots(idx: int, acc: list[tuple[int, SAryTree]]
                   ) -> Iterator[tuple[tuple[int, SAryTree], ...]]:
@@ -639,8 +608,7 @@ def sweep_embedded_censuses(step_set: StepSet, n: int,
     m = step_set.m
     width = 1 - m + 1
     for root, pairs in rooted_cayley_trees(n):
-        if not budget.charge(n):
-            return result
+        budget.charge(n)
         parent = dict(pairs)
         children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
         for v, w in pairs:
@@ -737,8 +705,7 @@ def enumerate_target_embeddings(target, budget: EnumerationBudget | None = None
             continue
 
         def assign(idx: int) -> Iterator[dict[int, int]]:
-            if not budget.charge():
-                return
+            budget.charge()
             if idx == len(order):
                 if all(c == 0 for c in remaining.values()):
                     yield dict(place)

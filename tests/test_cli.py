@@ -2,6 +2,7 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,44 @@ class TestCount:
         assert code == 0
         assert out.splitlines()[0] == "720"
         assert any("relabelings" in line for line in out.splitlines())
+
+    @pytest.mark.parametrize("kind, text", [
+        ("cayley", "720\n"
+         "  marked-vertex prefactor n_0/(n_ell n_r) = 1\n"
+         "  relabelings n!/prod (n_i-1)! = 120\n"
+         "  image choices at abscissa -1: (sum_s n_{i-s})^(n_i-1) = 2\n"
+         "  image choices at abscissa 0: (sum_s n_{i-s})^(n_i-1) = 3\n"
+         "  image choices at abscissa 1: (sum_s n_{i-s})^(n_i-1) = 1\n"),
+        ("sary", "3\n"
+         "  marked-vertex prefactor n_0/(n_ell n_r) = 1\n"
+         "  level 0: C(sum_s n_-s, n_0 - 1) = 3\n"
+         "  level -1: C(sum_s n_{i-s} - 1, n_i - 1) = 1\n"
+         "  level 1: C(sum_s n_{i-s} - 1, n_i - 1) = 1\n"),
+    ])
+    def test_explain_text_pinned(self, capsys, kind, text):
+        code, out, _ = run(capsys, "count", kind, "--profile", "2;2,1", "--explain")
+        assert code == 0 and out == text
+
+    @pytest.mark.parametrize("argv", [
+        ("binary", "--profile", "2;2,1"),
+        ("binary", "--profile", "1,3;2,3,1"),
+        ("binary-horizontal", "--profile", "1,2,4,3,2"),
+        ("binary-horizontal", "--profile", "1"),
+        ("cayley", "--steps", "-1,0,1", "--profile", "3,1;2,4"),
+        ("cayley", "--steps", "0,1", "--profile", "3,2,2"),
+        ("sary", "--steps", "-1,0,1", "--profile", "3,1;2,4"),
+        ("sary", "--steps", "-2..1", "--profile", "1,2,3,1"),
+    ])
+    def test_explain_rows_multiply_to_the_count(self, capsys, argv):
+        code, out, _ = run(capsys, "count", *argv, "--explain")
+        assert code == 0
+        count, *rows = out.splitlines()
+        product = Fraction(1)
+        for row in rows:
+            assert row.startswith("  ")
+            product *= Fraction(row.rsplit(" = ", 1)[1])
+        assert product == int(count)
+        assert len(rows) >= (0 if argv[-1] == "1" else 1)
 
     def test_hypothesis_exit_code(self, capsys):
         code, _, err = run(capsys, "count", "sary", "--steps", "-2,-1,1",
@@ -86,7 +125,7 @@ class TestErrorClasses:
     def test_internal_value_error_is_not_a_parse_error(self, monkeypatch):
         def broken(*_args):
             raise ValueError("internal")
-        monkeypatch.setattr("embtrees.formulas.count_cayley_profile", broken)
+        monkeypatch.setattr("embtrees.formulas.cayley_factors", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["count", "cayley", "--steps", "-1,1", "--profile", "2;2,1"])
 

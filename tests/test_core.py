@@ -342,6 +342,37 @@ class TestEquivalenceAndVertexTypes:
         other = [c for c in classes.values() if c is not some][0]
         assert not equivalent(some[0], other[0])
 
+    def test_shape_key_partition_matches_nested_reference(self):
+        from embtrees.core import shape_key
+
+        def nested(t):  # the recursive canonical form, for small trees
+            children = {v: [] for v in range(1, t.n + 1)}
+            for v, w in t.parent.items():
+                children[w].append(v)
+
+            def encode(v):
+                return (t.abscissa[v], tuple(sorted(encode(c) for c in children[v])))
+            return encode(t.root)
+
+        for S in (StepSet([-1, 1]), StepSet([-1, 0, 1])):
+            for p in profiles_up_to(4):
+                by_key: dict = {}
+                for t in enumerate_embedded_cayley(S, p):
+                    by_key.setdefault(shape_key(t), set()).add(nested(t))
+                assert all(len(refs) == 1 for refs in by_key.values())
+                assert len({next(iter(r)) for r in by_key.values()}) == len(by_key)
+
+    def test_sary_equality_is_structural(self):
+        S = StepSet([-1, 0, 1])
+        for p in profiles_up_to(4):
+            trees = list(enumerate_sary(S, p))
+            texts = [sary_to_json(t) for t in trees]
+            for a, ta in zip(trees, texts):
+                for b, tb in zip(trees, texts):
+                    assert (a == b) == (ta == tb)
+                    assert a != b or hash(a) == hash(b)
+            assert all(sary_from_json(t) == a for t, a in zip(texts, trees))
+
     def test_vertex_type_sentinel(self):
         from embtrees.core import vertex_type
         from embtrees import EPS
@@ -364,6 +395,28 @@ class TestEquivalenceAndVertexTypes:
             got = list(enumerate_sfunctions(S, p, "general",
                                             constraint=("out_counts", out)))
             assert len(got) == count
+
+
+class TestIsTree:
+    def test_walk(self):
+        from embtrees.core import is_tree
+        assert is_tree({}, 0)
+        assert is_tree({2: 1, 3: 2, 4: 1}, 1)
+        assert not is_tree({2: 3, 3: 2}, 1)  # a cycle away from the root
+        assert not is_tree({2: 5}, 1)  # a parent outside the domain
+        assert not is_tree({2: 1, 3: 4, 4: 3}, 1)
+
+    def test_validation_messages(self):
+        from embtrees import EmbeddedCayleyTree
+        from embtrees.core import MarkedSTree
+        S = StepSet([-1, 1])
+        vs = VertexSet(Profile.parse("1,2"))
+        loop = {Vertex(1, 1): Vertex(1, 2), Vertex(1, 2): Vertex(1, 1)}
+        with pytest.raises(PreconditionViolated, match="not a tree"):
+            MarkedSTree(vs, StepSet([-1, 0, 1]), loop, root=Vertex(0, 1),
+                        mark=Vertex(1, 1))
+        with pytest.raises(PreconditionViolated, match="not a tree"):
+            EmbeddedCayleyTree(3, 1, {2: 3, 3: 2}, {1: 0, 2: 1, 3: 1}, S)
 
 
 class TestConditionF:

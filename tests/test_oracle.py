@@ -118,12 +118,6 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             list(enumerate_embedded_cayley(PM, Profile([3, 3]), budget))
 
-    def test_step_cap_skip(self):
-        budget = EnumerationBudget(max_size=10, max_candidates=50,
-                                   on_exceed="skip")
-        out = list(enumerate_embedded_cayley(PM, Profile([3, 3]), budget))
-        assert len(out) < 100  # truncated, no exception
-
 
 class TestCensus:
     def test_profile_census_of_binary_size3(self):

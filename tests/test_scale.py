@@ -7,7 +7,9 @@ import pytest
 
 from embtrees import (
     Profile,
+    SAryTree,
     StepSet,
+    equivalent,
     phi,
     phi_inverse,
     psi,
@@ -15,6 +17,7 @@ from embtrees import (
     sample_embedded_cayley,
     sample_sary,
     sample_sfunction,
+    shape_key,
     type_distribution_of,
 )
 
@@ -60,3 +63,16 @@ def test_sary_sampler_on_a_long_line():
     p = Profile([1] * 1500)
     shape = sample_sary(StepSet([-1, 0, 1]), p)
     assert shape.size() == 1500 and shape.profile() == p
+    again = sample_sary(StepSet([-1, 0, 1]), p, seed=5)
+    assert again == shape and hash(again) == hash(shape)
+    assert len({shape, again}) == 1
+    assert shape != SAryTree(0)
+
+
+def test_shape_key_on_a_long_line():
+    p = Profile([1] * 1500)
+    tree = sample_embedded_cayley(StepSet([-1, 0, 1]), p, seed=3)
+    other = sample_embedded_cayley(StepSet([-1, 0, 1]), p, seed=4)
+    assert equivalent(tree, other)
+    assert shape_key(tree) == shape_key(other)
+    assert hash(shape_key(tree)) == hash(shape_key(other))
