@@ -19,6 +19,7 @@ from embtrees import (
     sample_embedded_cayley,
     sample_sary,
 )
+from embtrees.core import sary_to_json
 
 print("=== exact profile law, uniform binary tree, n = 12 ===")
 law = profile_law(12, "binary")
@@ -43,7 +44,7 @@ for seed in (1, 2, 3):
     t = sample_embedded_cayley(pm, p, seed=seed)
     print(f"seed {seed}: parents {t.parent}, abscissas {t.abscissa}")
 shape = sample_sary(pm, p, seed=1)
-print("an S-ary sample:", shape)
+print("an S-ary sample:", sary_to_json(shape))
 
 print()
 print("=== a large draw ===")

@@ -97,8 +97,11 @@ def _analyze(arcs: dict[Vertex, Vertex], vset: VertexSet) -> WPartition:
     return WPartition(source, cycles)
 
 
-def classify_case(f: SFunction) -> str:
-    """A1 / A2 / A3 / B, per the position of v_0 = f(-1^1) in the cut graph."""
+def _cut_and_classify(f: SFunction
+                      ) -> tuple[str, dict[Vertex, Vertex], WPartition]:
+    """Check the hypotheses, cut the spine arcs and analyse the cut graph
+    once; returns the case A1 / A2 / A3 / B, the cut arcs and their
+    partition."""
     p = f.profile
     if p.ell >= 0:
         raise PreconditionViolated("the general bijection needs ell < 0")
@@ -110,12 +113,19 @@ def classify_case(f: SFunction) -> str:
     part = _analyze(arcs, f.vertex_set)
     v0 = f.image[Vertex(-1, 1)]
     if part.block_of(v0) >= 1:
-        return "B"
-    if part.source[v0] == part.source[Vertex(0, 1)]:
-        return "A3"
-    if part.on_cycle(v0):
-        return "A2"
-    return "A1"
+        case = "B"
+    elif part.source[v0] == part.source[Vertex(0, 1)]:
+        case = "A3"
+    elif part.on_cycle(v0):
+        case = "A2"
+    else:
+        case = "A1"
+    return case, arcs, part
+
+
+def classify_case(f: SFunction) -> str:
+    """A1 / A2 / A3 / B, per the position of v_0 = f(-1^1) in the cut graph."""
+    return _cut_and_classify(f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +186,10 @@ class _Assembly:
 
 
 def _psi1(f: SFunction) -> _Assembly:
-    case = classify_case(f)
+    case, arcs, part = _cut_and_classify(f)
     p = f.profile
     vset = f.vertex_set
     v0 = f.image[Vertex(-1, 1)]
-    arcs = _cut_spine(f)
-    part = _analyze(arcs, vset)
     pieces: dict[str, list[Piece]] = {}
     special: dict[str, Vertex] = {}
 

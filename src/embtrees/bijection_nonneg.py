@@ -248,10 +248,15 @@ def phi2(tree: MarkedSTree) -> MarkedSTree:
     return tree_out
 
 
-def _phi2_with_record(tree: MarkedSTree) -> tuple[MarkedSTree, FrustrationRecord]:
+def _phi2_with_record(tree: MarkedSTree, f: SFunction | None = None
+                      ) -> tuple[MarkedSTree, FrustrationRecord]:
+    """phi2 and its frustration record.  f must be phi1_inverse(tree); the
+    forward map passes the function it started from instead of rebuilding
+    it."""
     if not condition_t(tree):
         raise ConditionTViolated("tree violates condition (T)")
-    f = phi1_inverse(tree)
+    if f is None:
+        f = phi1_inverse(tree)
     record = _frustrated_by_abscissa(f, tree)
     record.check_alternation(tree.profile.r, tree.mark)
     if 0 not in tree.step_set:
@@ -280,7 +285,7 @@ def phi_with_trace(f: SFunction) -> tuple[MarkedSTree, dict]:
     """Apply phi and collect a structured trace: the pieces with their paths,
     the concatenation order, and the frustration record with the swaps."""
     t1, pieces = _phi1_with_pieces(f)
-    t2, record = _phi2_with_record(t1)
+    t2, record = _phi2_with_record(t1, f)
     if __debug__:
         d_in = type_distribution_of(f)
         d_out = type_distribution_of(t2)

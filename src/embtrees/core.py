@@ -14,7 +14,8 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -130,11 +131,13 @@ class Profile:
     """Vertex counts per abscissa, (n_ell, ..., n_-1; n_0, ..., n_r).
 
     All stored counts are >= 1 and ell <= 0 <= r.  n(i) returns 0 outside
-    [ell, r].
+    [ell, r].  r is stored rather than recomputed, since count() reads it
+    on every call.
     """
 
     ell: int
     counts: tuple[int, ...]
+    r: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, counts: Iterable[int], ell: int = 0):
         counts = tuple(int(c) for c in counts)
@@ -147,10 +150,7 @@ class Profile:
             raise InvalidProfile(f"profile must cover abscissa 0: ell={ell}, r={r}")
         object.__setattr__(self, "ell", int(ell))
         object.__setattr__(self, "counts", counts)
-
-    @property
-    def r(self) -> int:
-        return self.ell + len(self.counts) - 1
+        object.__setattr__(self, "r", r)
 
     @property
     def n(self) -> int:
@@ -226,7 +226,12 @@ class Vertex(NamedTuple):
 
 @dataclass(frozen=True)
 class VertexSet:
-    """V = union of V_i = {i^1, ..., i^{n_i}} for a given profile."""
+    """V = union of V_i = {i^1, ..., i^{n_i}} for a given profile.
+
+    The vertices are built lazily, once per vertex set: the levels, the flat
+    tuple and the frozenset of members are cached on first use, so a vertex
+    set that only answers membership builds none of them.
+    """
 
     profile: Profile
 
@@ -234,13 +239,27 @@ class VertexSet:
     def n(self) -> int:
         return self.profile.n
 
-    def vertices(self) -> Iterator[Vertex]:
-        for i, ni in self.profile.items():
-            for k in range(1, ni + 1):
-                yield Vertex(i, k)
+    @cached_property
+    def levels(self) -> dict[int, tuple[Vertex, ...]]:
+        """V_i for every abscissa i of the profile, in index order."""
+        return {i: tuple(Vertex(i, k) for k in range(1, ni + 1))
+                for i, ni in self.profile.items()}
 
-    def level(self, i: int) -> list[Vertex]:
-        return [Vertex(i, k) for k in range(1, self.profile.count(i) + 1)]
+    @cached_property
+    def _flat(self) -> tuple[Vertex, ...]:
+        return tuple(v for level in self.levels.values() for v in level)
+
+    @cached_property
+    def members(self) -> frozenset[Vertex]:
+        return frozenset(self._flat)
+
+    def vertices(self) -> tuple[Vertex, ...]:
+        """Every vertex, in the total order of the construction."""
+        return self._flat
+
+    def level(self, i: int) -> tuple[Vertex, ...]:
+        """V_i, empty outside [ell, r]."""
+        return self.levels.get(i, ())
 
     def __contains__(self, v: Vertex) -> bool:
         return 1 <= v.k <= self.profile.count(v.i)
@@ -280,12 +299,14 @@ class SFunction:
 
     def _validate(self) -> None:
         vset = self.vertex_set
-        root = Vertex(0, 1)
-        expected = set(vset.vertices()) - {root}
-        if set(self.image) != expected:
+        verts = vset.members
+        # with 0^1 in V, the domain is V \ {0^1} iff it avoids 0^1, has
+        # n - 1 elements and lies in V
+        if (Vertex(0, 1) in self.image or len(self.image) != vset.n - 1
+                or not verts.issuperset(self.image)):
             raise PreconditionViolated("image must be defined exactly on V \\ {0^1}")
         for v, w in self.image.items():
-            if w not in vset:
+            if w not in verts:
                 raise PreconditionViolated(f"image {w} of {v} outside V")
             if (v.i - w.i) not in self.step_set:
                 raise PreconditionViolated(
@@ -338,17 +359,19 @@ def satisfies_condition_f(f: SFunction) -> bool:
 
 def is_tree(parent: Mapping, root) -> bool:
     """Whether following parent from every vertex of its domain reaches root
-    without a cycle.  O(n): each vertex is walked once."""
-    reached = {root}
+    without a cycle.  O(n): each vertex is walked once.  walk_of records the
+    start of the walk that first reached each vertex, so a walk that runs
+    into its own trail has found a cycle."""
+    walk_of = {root: None}
     for v in parent:
-        chain = []
         w = v
-        while w not in reached:
-            chain.append(w)
+        while w not in walk_of:
+            walk_of[w] = v
             w = parent.get(w)
-            if w is None or len(chain) > len(parent):
+            if w is None:
                 return False
-        reached.update(chain)
+        if walk_of[w] == v:
+            return False
     return True
 
 
@@ -377,12 +400,15 @@ class MarkedSTree:
 
     def _validate(self) -> None:
         vset = self.vertex_set
-        verts = set(vset.vertices())
+        verts = vset.members
         if self.root not in verts:
             raise PreconditionViolated(f"root {self.root} outside V")
         if self.mark not in verts or self.mark.i != self.profile.r:
             raise PreconditionViolated(f"mark {self.mark} not at abscissa r")
-        if set(self.parent) != verts - {self.root}:
+        # with the root in V, the domain is V \ {root} iff it avoids the
+        # root, has n - 1 elements and lies in V
+        if (self.root in self.parent or len(self.parent) != vset.n - 1
+                or not verts.issuperset(self.parent)):
             raise PreconditionViolated("parent must be defined exactly on V \\ {root}")
         if not is_tree(self.parent, self.root):
             raise PreconditionViolated("parent map is not a tree")
@@ -594,13 +620,13 @@ class EmbeddedCayleyTree:
         return self._hash
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class SAryTree:
     """A plane tree with at most one child per step s in S at each vertex.
 
     Children are stored as (step, subtree) pairs sorted by step; equality is
     structural, which is exactly equivalence of injective embeddings.
-    Equality and hashing are iterative, so any height is fine.
+    Equality, hashing and repr are iterative, so any height is fine.
     """
 
     abscissa: int
@@ -625,6 +651,20 @@ class SAryTree:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+    def __repr__(self) -> str:
+        """A summary (root abscissa, size, height, root child steps) rather
+        than the nested tree, which may be thousands of levels deep."""
+        size = height = 0
+        stack = [(self, 0)]
+        while stack:
+            node, depth = stack.pop()
+            size += 1
+            height = max(height, depth)
+            stack.extend((child, depth + 1) for _s, child in node.children)
+        steps = tuple(s for s, _c in self.children)
+        return (f"SAryTree(abscissa={self.abscissa}, size={size}, "
+                f"height={height}, root_steps={steps})")
 
     def size(self) -> int:
         return sum(1 for _ in self.nodes())
@@ -861,12 +901,12 @@ def type_distribution_of(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction | SA
     if m is None:
         m = obj.step_set.m
     if isinstance(obj, SFunction):
-        verts = list(obj.vertex_set.vertices())
+        verts = obj.vertex_set.vertices()
         absc = {v: v.i for v in verts}
         parent = obj.image
         root = Vertex(0, 1)
     elif isinstance(obj, MarkedSTree):
-        verts = list(obj.vertex_set.vertices())
+        verts = obj.vertex_set.vertices()
         absc = {v: v.i for v in verts}
         parent = obj.parent
         root = obj.root

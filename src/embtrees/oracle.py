@@ -38,7 +38,11 @@ from .core import (
 
 @dataclass
 class EnumerationBudget:
-    """Caps for exhaustive searches: max object size and elementary steps."""
+    """Caps for exhaustive searches: max object size and elementary steps.
+
+    Each enumerator call meters its own steps against max_candidates, so one
+    budget shared by many calls caps every call, not their sum.
+    """
 
     max_size: int = 7
     max_candidates: int = 200_000_000
@@ -60,9 +64,11 @@ class EnumerationBudget:
 
 
 def _budget(budget: EnumerationBudget | None) -> EnumerationBudget:
+    """A fresh meter for one enumerator call, with the caps of `budget` (the
+    defaults when None) and no steps charged yet."""
     if budget is None:
         return EnumerationBudget()
-    return budget
+    return EnumerationBudget(budget.max_size, budget.max_candidates)
 
 
 @dataclass(frozen=True)

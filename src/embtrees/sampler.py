@@ -67,6 +67,20 @@ def _rng(seed) -> random.Random:
 # uniform functions and trees
 # ---------------------------------------------------------------------------
 
+def _spine_arcs(vset: VertexSet, rng: random.Random) -> dict[Vertex, Vertex]:
+    """The arcs that (F) fixes: i^1 -> (i-1)^1 for i >= 1 and i^1 -> (i+1)^1
+    for i <= -2, plus v_0 = f(-1^1) drawn uniformly from V_0 when ell < 0.
+    Every i^1 other than the root 0^1 gets its image here, so the free
+    vertices are the i^k with k >= 2."""
+    p = vset.profile
+    levels = vset.levels
+    image = {levels[i][0]: levels[i - 1][0] for i in range(1, p.r + 1)}
+    image.update((levels[i][0], levels[i + 1][0]) for i in range(p.ell, -1))
+    if p.ell < 0:
+        image[levels[-1][0]] = levels[0][rng.randrange(p.count(0))]
+    return image
+
+
 def sample_sfunction(step_set: StepSet, profile: Profile, regime: str,
                      seed=None) -> SFunction:
     """Uniform (F)-function: every free vertex's image is drawn independently
@@ -77,27 +91,13 @@ def sample_sfunction(step_set: StepSet, profile: Profile, regime: str,
         regime = "nonneg"
     rng = _rng(seed)
     vset = VertexSet(profile)
-    image: dict[Vertex, Vertex] = {}
-    for i in range(1, profile.r + 1):
-        image[Vertex(i, 1)] = Vertex(i - 1, 1)
-    for i in range(profile.ell, -1):
-        image[Vertex(i, 1)] = Vertex(i + 1, 1)
-    if profile.ell < 0:
-        image[Vertex(-1, 1)] = Vertex(0, rng.randrange(profile.count(0)) + 1)
-    for i, ni in profile.items():
-        # draw indices into the disjoint union of the levels V_{i-s}
-        sizes = [(s, profile.count(i - s)) for s in sorted(step_set, reverse=True)]
-        total = sum(c for _s, c in sizes)
-        for k in range(1, ni + 1):
-            v = Vertex(i, k)
-            if v in image or v == Vertex(0, 1):
-                continue
-            j = rng.randrange(total)
-            for s, c in sizes:
-                if j < c:
-                    image[v] = Vertex(i - s, j + 1)
-                    break
-                j -= c
+    image = _spine_arcs(vset, rng)
+    for level in vset.levels.values():
+        # one draw indexes the concatenated levels V_{i-s}, s in S
+        codomain = allowed_images(vset, step_set, level[0])
+        total = len(codomain)
+        for v in level[1:]:
+            image[v] = codomain[rng.randrange(total)]
     return SFunction(vset, step_set, image)
 
 
@@ -112,29 +112,24 @@ def _relabel_uniform(tree: MarkedSTree, rng: random.Random
     """Uniform renaming (swap i^1 with a uniform i^k at every abscissa) then
     a uniform order-consistent assignment of labels 1..n."""
     p = tree.profile
+    levels = tree.vertex_set.levels
     rename: dict[Vertex, Vertex] = {}
-    for i, ni in p.items():
-        k = rng.randrange(ni) + 1
-        rename[Vertex(i, 1)] = Vertex(i, k)
-        rename[Vertex(i, k)] = Vertex(i, 1)
+    for level in levels.values():
+        k = rng.randrange(len(level))
+        rename[level[0]] = level[k]
+        rename[level[k]] = level[0]
     # choose which labels land at each abscissa, uniformly
     labels = list(range(1, p.n + 1))
     rng.shuffle(labels)
     assignment: dict[Vertex, int] = {}
     start = 0
-    for i, ni in p.items():
-        block = sorted(labels[start:start + ni])
-        start += ni
-        for k, lab in enumerate(block, start=1):
-            assignment[Vertex(i, k)] = lab
-    out_parent: dict[int, int] = {}
-    abscissa: dict[int, int] = {}
-    for v in tree.vertex_set.vertices():
-        w = rename.get(v, v)
-        abscissa[assignment[w]] = v.i
-    for v, par in tree.parent.items():
-        out_parent[assignment[rename.get(v, v)]] = assignment[rename.get(par, par)]
-    root_label = assignment[rename.get(tree.root, tree.root)]
+    for level in levels.values():
+        assignment.update(zip(level, sorted(labels[start:start + len(level)])))
+        start += len(level)
+    label = {v: assignment[rename.get(v, v)] for v in tree.vertex_set.vertices()}
+    abscissa = {label[v]: v.i for v in tree.vertex_set.vertices()}
+    out_parent = {label[v]: label[par] for v, par in tree.parent.items()}
+    root_label = label[tree.root]
     return EmbeddedCayleyTree(p.n, root_label, out_parent, abscissa,
                               tree.step_set)
 
@@ -160,19 +155,11 @@ def sample_sary(step_set: StepSet, profile: Profile, seed=None) -> SAryTree:
     validate_profile_for(step_set, profile, _regime_of(profile))
     rng = _rng(seed)
     vset = VertexSet(profile)
-    image: dict[Vertex, Vertex] = {}
-    for i in range(1, profile.r + 1):
-        image[Vertex(i, 1)] = Vertex(i - 1, 1)
-    for i in range(profile.ell, -1):
-        image[Vertex(i, 1)] = Vertex(i + 1, 1)
-    if profile.ell < 0:
-        image[Vertex(-1, 1)] = Vertex(0, rng.randrange(profile.count(0)) + 1)
-    for i, ni in profile.items():
-        rest = [Vertex(i, k) for k in range(1, ni + 1) if Vertex(i, k) not in image]
-        if i == 0:
-            rest = [v for v in rest if v != Vertex(0, 1)]
-        codomain = [w for w in allowed_images(vset, step_set, Vertex(i, 1))
-                    if image.get(Vertex(i, 1)) != w]
+    image = _spine_arcs(vset, rng)
+    for i, level in vset.levels.items():
+        rest = level[1:]
+        codomain = [w for w in allowed_images(vset, step_set, level[0])
+                    if image.get(level[0]) != w]
         if len(codomain) < len(rest):
             raise InfeasibleProfile(
                 f"not enough distinct images at abscissa {i}")

@@ -419,6 +419,43 @@ class TestIsTree:
             EmbeddedCayleyTree(3, 1, {2: 3, 3: 2}, {1: 0, 2: 1, 3: 1}, S)
 
 
+class TestDomainChecks:
+    """SFunction and MarkedSTree reject a domain that is not V minus the
+    root: a missing vertex, a key outside V, or the root itself (the last
+    two with the right number of keys)."""
+
+    S = StepSet([-1, 0, 1])
+    VS = VertexSet(Profile.parse("2,2"))
+    GOOD = {Vertex(1, 1): Vertex(0, 1), Vertex(0, 2): Vertex(0, 1),
+            Vertex(1, 2): Vertex(0, 1)}
+    BAD = {
+        "missing": {Vertex(1, 1): Vertex(0, 1), Vertex(0, 2): Vertex(0, 1)},
+        "outside": {Vertex(1, 1): Vertex(0, 1), Vertex(0, 2): Vertex(0, 1),
+                    Vertex(1, 3): Vertex(0, 1)},
+        "root": {Vertex(1, 1): Vertex(0, 1), Vertex(0, 2): Vertex(0, 1),
+                 Vertex(0, 1): Vertex(1, 1)},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_sfunction(self, kind):
+        SFunction(self.VS, self.S, self.GOOD)
+        msg = "image must be defined exactly on V \\ {0^1}"
+        with pytest.raises(PreconditionViolated) as err:
+            SFunction(self.VS, self.S, self.BAD[kind])
+        assert str(err.value) == msg
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_marked_tree(self, kind):
+        from embtrees.core import MarkedSTree
+        MarkedSTree(self.VS, self.S, self.GOOD, root=Vertex(0, 1),
+                    mark=Vertex(1, 1))
+        msg = "parent must be defined exactly on V \\ {root}"
+        with pytest.raises(PreconditionViolated) as err:
+            MarkedSTree(self.VS, self.S, self.BAD[kind], root=Vertex(0, 1),
+                        mark=Vertex(1, 1))
+        assert str(err.value) == msg
+
+
 class TestConditionF:
     def test_spine_forced(self):
         S = StepSet([-1, 1])

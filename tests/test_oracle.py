@@ -118,6 +118,28 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             list(enumerate_embedded_cayley(PM, Profile([3, 3]), budget))
 
+    def test_each_call_is_metered_alone(self, monkeypatch):
+        p = Profile([2, 2])
+        charged = []
+        charge = EnumerationBudget.charge
+
+        def counting(budget, amount=1):
+            charged.append(amount)
+            charge(budget, amount)
+
+        monkeypatch.setattr(EnumerationBudget, "charge", counting)
+        trees = list(enumerate_embedded_cayley(PM, p))
+        monkeypatch.undo()
+        steps = sum(charged)
+        assert trees and steps > 1
+        # a cap that fits one enumeration but not two in a row
+        shared = EnumerationBudget(max_size=10, max_candidates=steps)
+        assert list(enumerate_embedded_cayley(PM, p, shared)) == trees
+        assert list(enumerate_embedded_cayley(PM, p, shared)) == trees
+        with pytest.raises(BudgetExceeded):
+            list(enumerate_embedded_cayley(
+                PM, p, EnumerationBudget(max_size=10, max_candidates=steps - 1)))
+
 
 class TestCensus:
     def test_profile_census_of_binary_size3(self):

@@ -1,7 +1,13 @@
 """Property tests at sizes the oracle cannot reach: bijection round trips with
-census preservation near n = 10^3, and both samplers near n = 10^4."""
+census preservation near n = 10^3, both samplers near n = 10^4, seeded
+samples pinned byte for byte, and the samplers under python -O."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +26,9 @@ from embtrees import (
     shape_key,
     type_distribution_of,
 )
+from embtrees.bijection_general import classify_case, psi_with_trace
+from embtrees.bijection_nonneg import phi1, phi2
+from embtrees.core import embedded_cayley_to_json
 
 STEP_SETS = [StepSet([-1, 0, 1]), StepSet([-1, 1])]
 
@@ -76,3 +85,83 @@ def test_shape_key_on_a_long_line():
     assert equivalent(tree, other)
     assert shape_key(tree) == shape_key(other)
     assert hash(shape_key(tree)) == hash(shape_key(other))
+
+
+def test_sary_repr_on_a_long_line():
+    shape = sample_sary(StepSet([-1, 0, 1]), Profile([1] * 1500))
+    assert repr(shape) == ("SAryTree(abscissa=0, size=1500, height=1499, "
+                           "root_steps=(1,))")
+
+
+# 200 abscissas of 1-3 vertices, and 5 abscissas of 300-500 vertices
+THIN = [2, 3, 2, 1, 2, 2, 3, 1] * 25
+WIDE = [300, 450, 500, 420, 330]
+SAMPLES_SHA256 = "d72a34ce0cf7788228a185a9b5cf823723054e36be9284fd32bd23989b8cc080"
+
+
+def test_seeded_samples_are_pinned():
+    """Both samplers, both regimes, a thin and a wide profile, two step sets:
+    the seeded outputs hash to a pinned digest, so a change to the sampler
+    pipeline that moves a draw or alters an output shows here."""
+    digest = hashlib.sha256()
+    for steps in STEP_SETS:
+        for counts in (THIN, WIDE):
+            for ell in (0, -(len(counts) // 3)):
+                p = Profile(counts, ell=ell)
+                tree = sample_embedded_cayley(steps, p, seed=101)
+                digest.update(embedded_cayley_to_json(tree).encode())
+                shape = sample_sary(steps, p, seed=202)
+                digest.update(repr(shape._key()).encode())
+    assert digest.hexdigest() == SAMPLES_SHA256
+
+
+@pytest.mark.parametrize("steps", STEP_SETS, ids=str)
+def test_phi_equals_phi2_after_phi1_near_one_thousand(steps):
+    # phi hands its own input to the repair step; phi2 rebuilds it
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        f = sample_sfunction(steps, random_profile(rng, 1000, 6, False),
+                             "nonneg", rng)
+        assert phi(f) == phi2(phi1(f))
+
+
+def test_psi_records_the_case_classify_case_finds():
+    cases = set()
+    for steps in STEP_SETS:
+        for seed in range(1, 13):
+            rng = random.Random(seed)
+            f = sample_sfunction(steps, random_profile(rng, 1000, 6, True),
+                                 "general", rng)
+            case = psi_with_trace(f)[1]["case"]
+            assert case == classify_case(f)
+            cases.add(case)
+    assert cases == {"A1", "A2", "A3", "B"}
+
+
+OPTIMIZED_SCRIPT = """
+from embtrees import Profile, StepSet, sample_embedded_cayley, sample_sary
+if __debug__:
+    raise SystemExit("asserts are on")
+steps = StepSet([-1, 0, 1])
+for counts in ([2, 3, 2, 1, 2, 2, 3, 1] * 25, [300, 450, 500, 420, 330]):
+    for ell in (0, -(len(counts) // 3)):
+        p = Profile(counts, ell=ell)
+        for sample in (sample_embedded_cayley(steps, p, seed=1),
+                       sample_sary(steps, p, seed=2)):
+            if sample.profile() != p:
+                raise SystemExit(f"profile {sample.profile()} != {p}")
+print("ok")
+"""
+
+
+def test_samplers_under_python_O():
+    """With asserts stripped (python -O) the samplers still return trees of
+    the requested profile: no assert block does work they depend on."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
