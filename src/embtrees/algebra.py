@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .core import (
     BudgetExceeded,
@@ -25,7 +25,16 @@ from .core import (
     VertexSet,
     is_tree,
 )
-from .formulas import TargetTree, WeightAssignment, _as_int, _multinomial, _spine
+from .formulas import (
+    TargetTree,
+    WeightAssignment,
+    _image_choices,
+    _multinomial,
+    _out_spine,
+    _ratio,
+    _spine,
+    product,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -108,24 +117,12 @@ def eval_P_out(g: CycleGraph, out: Mapping[tuple[int, int], int]) -> Fraction:
     for (i, _s), c in out.items():
         if c and not (g.ell <= i <= g.r):
             raise IncompatibleDistribution(f"out count at abscissa {i} outside graph")
-    total = Fraction(0)
-    for config in enumerate_cycle_configurations(g):
-        term = Fraction((-1) ** len(config))
-        in_c = set()
-        for verts, arcs in config:
-            in_c.update(verts)
-            for (tail, s) in arcs:
-                term *= out.get((tail, s), 0)
-        for i in range(g.ell, g.r + 1):
-            if i not in in_c:
-                term *= n[i]
-        total += term
-    return total
+    return _configuration_sum(g, lambda i, s: out.get((i, s), 0), dict.fromkeys(n, 1), n)
 
 
 def closed_P_out(g: CycleGraph, out: Mapping[tuple[int, int], int]) -> Fraction:
     """Closed form: prod_{i<0} n(i,-1) prod_{i>0} n(i,1)."""
-    return Fraction(_spine(lambda i, s: out.get((i, s), 0), g.ell, g.r))
+    return Fraction(_out_spine(out, g.ell, g.r)[1])
 
 
 def eval_P_refined(g: CycleGraph, y: Mapping[int, Fraction | int],
@@ -142,6 +139,14 @@ def eval_P_refined(g: CycleGraph, y: Mapping[int, Fraction | int],
     levels = range(g.ell, g.r + 1)
     off_cycle = {i: sum(yv(i - s) * w.get(i, s) for s in g.step_set) for i in levels}
     on_cycle = {i: yv(i) - (1 if i == 0 else 0) for i in levels}
+    return _configuration_sum(g, w.get, on_cycle, off_cycle)
+
+
+def _configuration_sum(g: CycleGraph, arc: Callable[[int, int], Fraction | int],
+                       on_cycle: Mapping[int, Fraction | int],
+                       off_cycle: Mapping[int, Fraction | int]) -> Fraction:
+    """sum_C (-1)^{|C|} prod_{arcs (i,s) of C} arc(i, s)
+    prod_{i in C} on_cycle[i] prod_{i not in C} off_cycle[i]."""
     total = 0
     for config in enumerate_cycle_configurations(g):
         term = (-1) ** len(config)
@@ -149,8 +154,8 @@ def eval_P_refined(g: CycleGraph, y: Mapping[int, Fraction | int],
         for verts, arcs in config:
             in_c.update(verts)
             for (tail, s) in arcs:
-                term *= w.get(tail, s)
-        for i in levels:
+                term *= arc(tail, s)
+        for i in range(g.ell, g.r + 1):
             term *= on_cycle[i] if i in in_c else off_cycle[i]
         total += term
     return Fraction(total)
@@ -294,13 +299,10 @@ def spanning_product_formula(profile: Profile, step_set: StepSet,
             return Fraction(0)
         total = Fraction(p.count(0)) * weights.get(0, 0)
         return weights.get(0, 0) * total ** (p.n - 2)
-    value = Fraction(_spine(weights.get, p.ell, p.r))
-    for i in range(p.ell + 1, p.r):
-        value *= p.count(i)
-    for i, ni in p.items():
-        value *= sum(Fraction(p.count(i - s)) * weights.get(i, s)
-                     for s in step_set) ** (ni - 1)
-    return value
+    return Fraction(*_ratio([
+        ("spine weights", _spine(weights.get, p.ell, p.r)),
+        ("prod_{l+1}^{r-1} n_i", math.prod(p.count(i) for i in range(p.ell + 1, p.r))),
+        *_image_choices(step_set, p, weights)]))
 
 
 def spanning_trees_direct(profile: Profile, step_set: StepSet,
@@ -372,5 +374,5 @@ def tree_in_tree_det(target: TargetTree) -> int:
     keep = [j for j in range(size) if j != root_idx]
     minor = [[Fraction(mat[r][c]) for c in keep] for r in keep]
     det = bareiss_determinant(minor)
-    return _as_int(t.count(t.root) * _multinomial(c for _i, c in t.counts) * det,
-                   "tree-in-tree determinant count")
+    return product([("n_rho n!/prod n_i! det", t.count(t.root) * _multinomial(
+        c for _i, c in t.counts) * det)], "tree-in-tree determinant count")

@@ -38,7 +38,13 @@ from .core import (
     satisfies_condition_f,
     type_distribution_of,
 )
-from .bijection_nonneg import Piece, _functional_cycles, _swap_hanging_subtrees
+from .bijection_nonneg import (
+    Piece,
+    _close_marked_segment,
+    _functional_cycles,
+    _records_forward,
+    _swap_hanging_subtrees,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -324,38 +330,6 @@ def _case_certificate(assembly: _Assembly) -> None:
 # ---------------------------------------------------------------------------
 # Psi_1 inverse, case by case
 # ---------------------------------------------------------------------------
-
-def _records_forward(path: list[Vertex]) -> list[Vertex]:
-    records = []
-    best = None
-    for v in path:
-        if best is None or v < best:
-            records.append(v)
-            best = v
-    return records
-
-
-def _close_marked_segment(arcs: dict[Vertex, Vertex], segment: list[Vertex],
-                          bottom: int) -> None:
-    """Undo a chained left concatenation along `segment` (from the mark down
-    to `bottom`^1): split at the lower records, close cycles, restore the
-    spine arcs i^1 -> (i-1)^1 for i > bottom."""
-    records = _records_forward(segment)
-    pos = {v: j for j, v in enumerate(segment)}
-    for idx, src in enumerate(records):
-        sink = (segment[pos[records[idx + 1]] - 1]
-                if idx + 1 < len(records) else segment[-1])
-        if src.k == 1:
-            if sink != src:
-                raise ConditionViolated(
-                    f"spine piece at {src} is not a single vertex")
-            if src.i > bottom:
-                arcs[src] = Vertex(src.i - 1, 1)
-            elif src in arcs:
-                del arcs[src]
-        else:
-            arcs[sink] = src
-
 
 def _close_ell_segment(arcs: dict[Vertex, Vertex], segment: list[Vertex],
                        ell: int) -> None:

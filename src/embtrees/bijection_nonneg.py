@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .core import (
     ConditionTViolated,
+    ConditionViolated,
     MarkedSTree,
     PreconditionViolated,
     SFunction,
@@ -133,15 +134,37 @@ def _phi1_with_pieces(f: SFunction) -> tuple[MarkedSTree, list[Piece]]:
     return tree, pieces
 
 
-def _path_sources(tree: MarkedSTree) -> list[Vertex]:
-    """Lower records on the path from the mark to the root."""
-    sources = []
+def _records_forward(path: list[Vertex]) -> list[Vertex]:
+    """The lower records of a path: each vertex smaller than all before it."""
+    records = []
     best = None
-    for v in tree.path_to_root(tree.mark):
+    for v in path:
         if best is None or v < best:
-            sources.append(v)
+            records.append(v)
             best = v
-    return sources
+    return records
+
+
+def _close_marked_segment(arcs: dict[Vertex, Vertex], segment: list[Vertex],
+                          bottom: int) -> None:
+    """Undo a chained left concatenation along `segment` (from the mark down
+    to `bottom`^1): split at the lower records, close cycles, restore the
+    spine arcs i^1 -> (i-1)^1 for i > bottom."""
+    records = _records_forward(segment)
+    pos = {v: j for j, v in enumerate(segment)}
+    for idx, src in enumerate(records):
+        sink = (segment[pos[records[idx + 1]] - 1]
+                if idx + 1 < len(records) else segment[-1])
+        if src.k == 1:
+            if sink != src:
+                raise ConditionViolated(
+                    f"spine piece at {src} is not a single vertex")
+            if src.i > bottom:
+                arcs[src] = Vertex(src.i - 1, 1)
+            elif src in arcs:
+                del arcs[src]
+        else:
+            arcs[sink] = src
 
 
 def phi1_inverse(tree: MarkedSTree) -> SFunction:
@@ -152,25 +175,9 @@ def phi1_inverse(tree: MarkedSTree) -> SFunction:
         raise PreconditionViolated("phi1_inverse needs a non-negative profile")
     if not condition_t(tree):
         raise ConditionTViolated("tree violates condition (T)")
-    path = tree.path_to_root(tree.mark)
     arcs = dict(tree.parent)
-    sources = _path_sources(tree)
-    pos = {v: idx for idx, v in enumerate(path)}
-    # each piece spans from its source up to just before the next source
-    for idx, src in enumerate(sources):
-        if idx + 1 < len(sources):
-            sink = path[pos[sources[idx + 1]] - 1]
-        else:
-            sink = path[-1]
-        if src.k == 1:
-            if src.i >= 1:
-                arcs[src] = Vertex(src.i - 1, 1)
-        else:
-            arcs[sink] = src  # close the cycle
-    if sources and sources[0] != tree.mark:
-        raise AssertionError("mark must be the first lower record")
-    # drop the arc out of the final source 0^1 if one survived (it did not:
-    # 0^1 is the root, it has no parent arc)
+    # under (T) every spine piece is a single vertex, and the path ends at 0^1
+    _close_marked_segment(arcs, tree.path_to_root(tree.mark), bottom=0)
     f = SFunction(tree.vertex_set, tree.step_set, arcs)
     assert satisfies_condition_f(f)
     return f
@@ -189,8 +196,9 @@ def _frustrated_by_abscissa(f: SFunction, tree: MarkedSTree,
     for v, w in tree.parent.items():
         t_pre.setdefault(w, []).append(v.i)
     record = FrustrationRecord()
-    sources = set(_path_sources(tree))
-    for v in tree.path_to_root(tree.mark):
+    path = tree.path_to_root(tree.mark)
+    sources = set(_records_forward(path))
+    for v in path:
         if v in skip:
             continue
         fin = sorted(f_pre.get(v, []))

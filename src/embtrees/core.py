@@ -16,14 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # Sentinel step value for the out-type of the root (distinct from every int).
 EPS = "eps"
 
 BigCount = int
-Rational = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +313,6 @@ class SFunction:
     @property
     def profile(self) -> Profile:
         return self.vertex_set.profile
-
-    def preimages(self) -> dict[Vertex, list[Vertex]]:
-        pre: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertex_set.vertices()}
-        for v in sorted(self.image):
-            pre[self.image[v]].append(v)
-        return pre
 
     def _key(self):
         return (self.profile.ell, self.profile.counts, self.step_set.steps,
@@ -977,15 +969,6 @@ def profile_from_json(text: str) -> Profile:
     return Profile.parse(json.loads(text))
 
 
-def vertex_to_json(v: Vertex) -> str:
-    return canonical_json([v.i, v.k])
-
-
-def vertex_from_json(text: str) -> Vertex:
-    i, k = json.loads(text)
-    return Vertex(i, k)
-
-
 def sfunction_to_json(f: SFunction) -> str:
     image = [[v.i, v.k, w.i, w.k] for v, w in sorted(f.image.items())]
     return canonical_json({
@@ -1044,18 +1027,47 @@ def embedded_cayley_from_json(text: str) -> EmbeddedCayleyTree:
                               StepSet(data["steps"]))
 
 
+# The JSON of an S-ary tree nests two objects per level (a node and its
+# "children"), and json.dumps and json.loads recurse once per object, under
+# the interpreter's recursion limit (1000 by default).  Trees higher than
+# this are refused with BudgetExceeded rather than a RecursionError.
+SARY_JSON_MAX_HEIGHT = 400
+
+
+def _capped_bottom_up(root, children) -> list:
+    """The nodes under root, every child before its parent; raises
+    BudgetExceeded below depth SARY_JSON_MAX_HEIGHT."""
+    order = []
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > SARY_JSON_MAX_HEIGHT:
+            raise BudgetExceeded(
+                f"S-ary JSON is capped at height {SARY_JSON_MAX_HEIGHT}")
+        order.append(node)
+        stack.extend((child, depth + 1) for child in children(node))
+    return order[::-1]
+
+
 def sary_to_json(t: SAryTree) -> str:
-    def encode(node: SAryTree):
-        return {"abscissa": node.abscissa,
-                "children": {str(s): encode(c) for s, c in node.children}}
-    return canonical_json(encode(t))
+    encoded: dict[int, dict] = {}
+    for node in _capped_bottom_up(t, lambda node: [c for _s, c in node.children]):
+        encoded[id(node)] = {"abscissa": node.abscissa, "children": {
+            str(s): encoded[id(c)] for s, c in node.children}}
+    return canonical_json(encoded[id(t)])
 
 
 def sary_from_json(text: str) -> SAryTree:
-    def decode(data) -> SAryTree:
-        kids = tuple(sorted((int(s), decode(c)) for s, c in data["children"].items()))
-        return SAryTree(data["abscissa"], kids)
-    return decode(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise BudgetExceeded(
+            f"S-ary JSON is capped at height {SARY_JSON_MAX_HEIGHT}") from None
+    built: dict[int, SAryTree] = {}
+    for node in _capped_bottom_up(data, lambda node: node["children"].values()):
+        built[id(node)] = SAryTree(node["abscissa"], tuple(sorted(
+            (int(s), built[id(c)]) for s, c in node["children"].items())))
+    return built[id(data)]
 
 
 def type_distribution_to_json(d: TypeDistribution) -> str:

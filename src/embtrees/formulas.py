@@ -9,6 +9,7 @@ edge cases (r = 0, ell = 0, n_i = 1) evaluate without special-casing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -40,12 +41,6 @@ def comb(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return math.comb(a, b)
-
-
-def _as_int(x: Fraction, what: str) -> BigCount:
-    if x.denominator != 1:
-        raise NonIntegerResult(f"{what} evaluated to non-integer {x}")
-    return x.numerator
 
 
 def _ratio(factors: Factors) -> tuple[int, int]:
@@ -184,8 +179,70 @@ def _require_profile_hypotheses(step_set: StepSet, profile: Profile) -> None:
 
 
 # ---------------------------------------------------------------------------
-# out-type formulas
+# rows shared by the type counts and the function families
 # ---------------------------------------------------------------------------
+
+def _factorials(p: Profile) -> tuple[str, int]:
+    return ("prod (n_i-1)!", math.prod(math.factorial(ni - 1) for _i, ni in p.items()))
+
+
+def _ends(p: Profile) -> Factors:
+    return [("n_r", p.count(p.r)), ("n_ell if ell < 0", p.count(p.ell) if p.ell < 0 else 1)]
+
+
+def _inverse_factorials(label: str, counts: Iterable[int]) -> tuple[str, Fraction]:
+    return (label, Fraction(1, math.prod(math.factorial(c) for c in counts)))
+
+
+def _children_factorials(cvs: Iterable[tuple[CVec, int]]) -> tuple[str, Fraction]:
+    """1/prod_{b,s} b!^{n_s(b)}, n_s(b) the number of vertices with b
+    children by step s, from (c-vector, number of vertices) pairs."""
+    return ("1/prod_{b,s} b!^{n_s(b)}", Fraction(1, math.prod(
+        math.factorial(b) ** c for cv, c in cvs for b in cv)))
+
+
+def _out_spine(out: OutDist, ell: int, r: int) -> tuple[str, int]:
+    return ("spine prod_{i<0} n(i,-1) prod_{i>0} n(i,1)",
+            _spine(lambda i, s: out.get((i, s), 0), ell, r))
+
+
+def _parent_choices(step_set: StepSet, out: OutDist, p: Profile) -> Factors:
+    """n_i^(c(i)-1) for every abscissa i, where c(i) = sum_s n(i+s, s)
+    counts the vertices whose parent lies at abscissa i."""
+    return [(f"parents at abscissa {i}: n_i^(c(i)-1)",
+             Fraction(ni) ** (sum(out.get((i + s, s), 0) for s in step_set) - 1))
+            for i, ni in p.items()]
+
+
+def _complete_out(out: OutDist, r: int) -> Factors:
+    """prod n(i,s)! / prod_{i=1}^r n(i,1); no tree has a vertex i^1 without a
+    vertex of out-type (i;1), so the count is 0 when one n(i,1) is."""
+    spine = math.prod(out.get((i, 1), 0) for i in range(1, r + 1))
+    return [("prod n(i,s)!", math.prod(math.factorial(c) for c in out.values())),
+            ("1/prod_{i=1}^r n(i,1)", Fraction(1, spine) if spine else 0)]
+
+
+def _spine_heads(vertex_in_types: Mapping[Vertex, CVec], p: Profile, m: int
+                 ) -> tuple[str, int]:
+    """prod_{0<=i<r} c^1(i^1) prod_{ell<i<0} c^-1(i^1): the choice of the
+    preimage that the spine arc into each i^1 comes from."""
+    def c(i: int, s: int) -> int:
+        return vertex_in_types[Vertex(i, 1)][s - m]
+    return ("spine heads prod_{0<=i<r} c^1(i^1) prod_{ell<i<0} c^-1(i^1)",
+            math.prod(c(i, 1) for i in range(0, p.r))
+            * math.prod(c(i, -1) for i in range(p.ell + 1, 0)))
+
+
+# ---------------------------------------------------------------------------
+# validation of type distributions
+# ---------------------------------------------------------------------------
+
+def _profile_of_counts(counts: Mapping[int, int], what: str) -> Profile:
+    lo, hi = min(counts), max(counts)
+    if not (lo <= 0 <= hi) or any(counts.get(i, 0) == 0 for i in range(lo, hi + 1)):
+        raise IncompatibleDistribution(f"{what} counts leave an empty abscissa")
+    return Profile([counts[i] for i in range(lo, hi + 1)], ell=lo)
+
 
 def profile_of_out_dist(out: OutDist) -> Profile:
     """Profile determined by an out-distribution: n_i = chi_{i=0} + sum_s n(i,s)."""
@@ -195,11 +252,7 @@ def profile_of_out_dist(out: OutDist) -> Profile:
             raise IncompatibleDistribution("negative out count")
         if c:
             counts[i] = counts.get(i, 0) + c
-    lo, hi = min(counts), max(counts)
-    if any(counts.get(i, 0) == 0 for i in range(lo, hi + 1)):
-        raise IncompatibleDistribution(
-            "out counts leave an empty abscissa inside [ell, r]")
-    return Profile([counts[i] for i in range(lo, hi + 1)], ell=lo)
+    return _profile_of_counts(counts, "out")
 
 
 def _check_out_dist(step_set: StepSet, out: OutDist) -> Profile:
@@ -218,34 +271,152 @@ def _check_out_dist(step_set: StepSet, out: OutDist) -> Profile:
     return prof
 
 
-def _c_of(out: OutDist, step_set: StepSet, i: int) -> int:
-    """c(i) = sum_s n(i+s, s): vertices whose parent lies at abscissa i."""
-    return sum(out.get((i + s, s), 0) for s in step_set)
+def _children(inn: InDist, m: int) -> dict[tuple[int, int], int]:
+    """n(i,s) = sum_c c^s n(i-s,c): the vertices of out-type (i;s) that the
+    in-types give a parent."""
+    out: dict[tuple[int, int], int] = {}
+    for (j, cv), c in inn.items():
+        for idx, b in enumerate(cv):
+            if b and c:
+                key = (j + m + idx, m + idx)
+                out[key] = out.get(key, 0) + b * c
+    return out
+
+
+def _in_profile(inn: InDist, m: int) -> tuple[Profile, dict[tuple[int, int], int]]:
+    """The profile of an in-distribution over the steps m..1 and the
+    out-counts its in-types give; raises unless every abscissa i has
+    chi_{i=0} + sum_s n(i,s) = n_i vertices."""
+    counts: dict[int, int] = {}
+    for (i, cv), c in inn.items():
+        if c < 0:
+            raise IncompatibleDistribution("negative in count")
+        if len(cv) != 2 - m:
+            raise IncompatibleDistribution(
+                f"c-vector {cv} must be dense over steps {m}..1")
+        if c:
+            counts[i] = counts.get(i, 0) + c
+    if not counts:
+        raise IncompatibleDistribution("empty in-distribution")
+    prof = _profile_of_counts(counts, "in")
+    children = _children(inn, m)
+    if profile_of_out_dist(children) != prof:
+        raise IncompatibleDistribution(
+            "in-distribution incompatible: its in-types do not give every "
+            "non-root vertex one parent")
+    return prof, children
+
+
+def _check_in_dist(step_set: StepSet, inn: InDist
+                   ) -> tuple[Profile, dict[tuple[int, int], int]]:
+    """Validate an in-distribution against S = [m, 1]; return its profile and
+    its out-counts n(i,s)."""
+    if not step_set.is_interval():
+        raise HypothesisViolation(
+            f"in-type counting needs an interval step set [m, 1], got {step_set}; "
+            "embed sparse step sets first")
+    prof, children = _in_profile(inn, step_set.m)
+    if prof.ell < 0 and step_set.m != -1:
+        raise HypothesisViolation("in counts at negative abscissas need m = -1")
+    return prof, children
+
+
+def _check_complete_steps(step_set: StepSet) -> int:
+    """min S, for S = [m,-1] union {1}."""
+    if step_set.steps != tuple(range(step_set.m, 0)) + (1,):
+        raise HypothesisViolation(
+            f"complete-type counting needs S = [m,-1] union {{1}}, got {step_set}")
+    return step_set.m
+
+
+def _check_children(children: OutDist, out: OutDist, what: str) -> None:
+    """chi_{i=s} c0^s + sum_{t,c} c^s n(i-s,t,c) = n(i,s) for every (i;s):
+    the in-types give each out-type as many vertices as it has."""
+    bad = [k for k in children.keys() | out.keys() if children.get(k, 0) != out.get(k, 0)]
+    if bad:
+        i, s = min(bad)
+        raise IncompatibleDistribution(f"{what} incompatible at out-type ({i};{s})")
+
+
+def _check_complete_dist(step_set: StepSet, root_in: CVec, comp: CompleteDist
+                         ) -> tuple[Profile, dict[tuple[int, int], int]]:
+    """Validate a complete distribution; return its profile and out-counts."""
+    m = _check_complete_steps(step_set)
+    width = 1 - m + 1
+    if len(root_in) != width or any(root_in[:-1]):
+        raise HypothesisViolation(
+            f"root in-type must be (0,...,0,c0^1), got {root_in}")
+    inn: dict[tuple[int, CVec], int] = {(0, tuple(root_in)): 1}
+    out: dict[tuple[int, int], int] = {}
+    for (i, s, cv), c in comp.items():
+        if c < 0:
+            raise IncompatibleDistribution("negative complete count")
+        if c == 0:
+            continue
+        if i < 0:
+            raise HypothesisViolation("complete counts must vanish at i < 0")
+        if len(cv) != width:
+            raise IncompatibleDistribution(f"c-vector {cv} must be dense over {m}..1")
+        if m <= 0 and cv[-m] != 0:
+            raise HypothesisViolation("complete counts must have c^0 = 0")
+        if s not in step_set:
+            raise IncompatibleDistribution(f"out step {s} outside S")
+        inn[(i, cv)] = inn.get((i, cv), 0) + c
+        out[(i, s)] = out.get((i, s), 0) + c
+    prof = profile_of_out_dist(out)
+    if prof.r == 0 and (prof.n != 1 or any(root_in)):
+        raise HypothesisViolation("r = 0 is supported only for the single-vertex tree")
+    _check_children(_children(inn, m), out, "complete distribution")
+    return prof, out
+
+
+def _check_vertices(prof: Profile, vertex_in_types: Mapping[Vertex, CVec]) -> None:
+    if (len(vertex_in_types) != prof.n
+            or any(not 1 <= v.k <= prof.count(v.i) for v in vertex_in_types)):
+        raise IncompatibleDistribution(
+            f"the prescribed vertices are not the vertex set of {prof}")
+
+
+# ---------------------------------------------------------------------------
+# type counts
+# ---------------------------------------------------------------------------
+
+def _cayley_out(step_set: StepSet, out: OutDist) -> tuple[Profile, Factors]:
+    p = _check_out_dist(step_set, out)
+    return p, [("n!", math.factorial(p.n)), *_parent_choices(step_set, out, p),
+               _out_spine(out, p.ell, p.r),
+               _inverse_factorials("1/prod n(i,s)!", out.values())]
+
+
+def cayley_out_factors(step_set: StepSet, out: OutDist) -> Factors:
+    """S-embedded Cayley trees with n(i,s) non-root vertices of out-type (i;s):
+    n! prod_i n_i^{c(i)-1} prod_{i<0} n(i,-1) prod_{i>0} n(i,1) / prod n(i,s)!."""
+    return _cayley_out(step_set, out)[1]
 
 
 def count_cayley_out(step_set: StepSet, out: OutDist) -> BigCount:
-    """S-embedded Cayley trees with n(i,s) non-root vertices of out-type (i;s):
-    n! prod_i n_i^{c(i)-1} prod_{i<0} n(i,-1) prod_{i>0} n(i,1) / prod n(i,s)!."""
-    prof = _check_out_dist(step_set, out)
-    value = Fraction(math.factorial(prof.n))
-    for i, ni in prof.items():
-        value *= Fraction(ni) ** (_c_of(out, step_set, i) - 1)
-    value *= _spine(lambda i, s: out.get((i, s), 0), prof.ell, prof.r)
-    for c in out.values():
-        value /= math.factorial(c)
-    return _as_int(value, "Cayley out-type count")
+    """S-embedded Cayley trees with a given out-type distribution
+    (cayley_out_factors)."""
+    return product(cayley_out_factors(step_set, out), "Cayley out-type count")
+
+
+def _sary_out(step_set: StepSet, out: OutDist) -> tuple[Profile, Factors]:
+    p = _check_out_dist(step_set, out)
+    return p, [_out_spine(out, p.ell, p.r),
+               ("1/prod n_i", Fraction(1, math.prod(p.counts))),
+               ("prod C(n_{i-s}, n(i,s))",
+                math.prod(comb(p.count(i - s), c) for (i, s), c in out.items()))]
+
+
+def sary_out_factors(step_set: StepSet, out: OutDist) -> Factors:
+    """S-ary trees with n(i,s) non-root vertices of out-type (i;s):
+    (prod_{i<0} n(i,-1) prod_{i>0} n(i,1) / prod_i n_i) prod C(n_{i-s}, n(i,s))."""
+    return _sary_out(step_set, out)[1]
 
 
 def count_sary_out(step_set: StepSet, out: OutDist) -> BigCount:
-    """S-ary trees with n(i,s) non-root vertices of out-type (i;s):
-    (prod_{i<0} n(i,-1) prod_{i>0} n(i,1) / prod_i n_i) prod C(n_{i-s}, n(i,s))."""
-    prof = _check_out_dist(step_set, out)
-    value = Fraction(_spine(lambda i, s: out.get((i, s), 0), prof.ell, prof.r))
-    for _i, ni in prof.items():
-        value /= ni
-    for (i, s), c in out.items():
-        value *= comb(prof.count(i - s), c)
-    return _as_int(value, "S-ary out-type count")
+    """S-ary trees with a given out-type distribution (sary_out_factors)."""
+    return product(sary_out_factors(step_set, out), "S-ary out-type count")
 
 
 @dataclass(frozen=True)
@@ -281,154 +452,67 @@ def eval_out_gf(step_set: StepSet, profile: Profile,
     return Fraction(*_ratio(cayley_factors(step_set, profile, weights)))
 
 
-# ---------------------------------------------------------------------------
-# in-type formulas
-# ---------------------------------------------------------------------------
-
-def _check_in_dist(step_set: StepSet, inn: InDist) -> tuple[Profile, int]:
-    """Validate an in-distribution against S = [m, 1]; return (profile, m)."""
-    if not step_set.is_interval():
-        raise HypothesisViolation(
-            f"in-type counting needs an interval step set [m, 1], got {step_set}; "
-            "embed sparse step sets first")
-    m = step_set.m
-    width = 1 - m + 1
-    counts: dict[int, int] = {}
-    for (i, cv), c in inn.items():
-        if c < 0:
-            raise IncompatibleDistribution("negative in count")
-        if len(cv) != width:
-            raise IncompatibleDistribution(
-                f"c-vector {cv} must be dense over steps {m}..1")
-        if c:
-            counts[i] = counts.get(i, 0) + c
-    if not counts:
-        raise IncompatibleDistribution("empty in-distribution")
-    lo, hi = min(counts), max(counts)
-    if not (lo <= 0 <= hi) or any(counts.get(i, 0) == 0 for i in range(lo, hi + 1)):
-        raise IncompatibleDistribution("in counts leave an empty abscissa")
-    prof = Profile([counts[i] for i in range(lo, hi + 1)], ell=lo)
-    for i in range(lo - 1, hi + 2):
-        lhs = 1 if i == 0 else 0
-        for (j, cv), c in inn.items():
-            if c == 0:
-                continue
-            for idx, cs in enumerate(cv):
-                if j + m + idx == i:
-                    lhs += cs * c
-        if lhs != prof.count(i):
-            raise IncompatibleDistribution(
-                f"in-distribution incompatible at abscissa {i}")
-    if lo < 0 and m != -1:
-        raise HypothesisViolation("in counts at negative abscissas need m = -1")
-    return prof, m
+def _in_rows(step_set: StepSet, inn: InDist) -> tuple[Profile, Factors]:
+    """The in-type rows after n!."""
+    p, out = _check_in_dist(step_set, inn)
+    return p, [_factorials(p), _out_spine(out, p.ell, p.r),
+               _inverse_factorials("1/prod n(i,c)!", inn.values()),
+               _children_factorials((cv, c) for (_i, cv), c in inn.items())]
 
 
-def _in_derived(inn: InDist, m: int):
-    """n_s(b) and n(i,s) derived from an in-distribution."""
-    nsb: dict[tuple[int, int], int] = {}
-    out: dict[tuple[int, int], int] = {}
-    for (i, cv), c in inn.items():
-        if c == 0:
-            continue
-        for idx, b in enumerate(cv):
-            s = m + idx
-            nsb[(s, b)] = nsb.get((s, b), 0) + c
-            if b:
-                out[(i + s, s)] = out.get((i + s, s), 0) + b * c
-    return nsb, out
+def _cayley_in(step_set: StepSet, inn: InDist) -> tuple[Profile, Factors]:
+    p, rows = _in_rows(step_set, inn)
+    return p, [("n!", math.factorial(p.n)), *rows]
 
 
-def count_cayley_in(step_set: StepSet, inn: InDist) -> BigCount:
+def cayley_in_factors(step_set: StepSet, inn: InDist) -> Factors:
     """S-embedded Cayley trees (S = [m, 1]) with n(i,c) vertices of in-type
     (i;c): n! prod (n_i-1)! prod_{i<0} n(i,-1) prod_{i>0} n(i,1)
     / (prod n(i,c)! prod_{b,s} b!^{n_s(b)})."""
-    prof, m = _check_in_dist(step_set, inn)
-    nsb, out = _in_derived(inn, m)
-    value = Fraction(math.factorial(prof.n))
-    for _i, ni in prof.items():
-        value *= math.factorial(ni - 1)
-    value *= _spine(lambda i, s: out.get((i, s), 0), prof.ell, prof.r)
-    for c in inn.values():
-        value /= math.factorial(c)
-    for (_s, b), cnt in nsb.items():
-        value /= Fraction(math.factorial(b)) ** cnt
-    return _as_int(value, "Cayley in-type count")
+    return _cayley_in(step_set, inn)[1]
 
 
-def count_sary_in(step_set: StepSet, inn: InDist) -> BigCount:
-    """S-ary trees with a prescribed in-type distribution: the Cayley count
-    divided by n! (trees with all c-components <= 1 are injective)."""
+def count_cayley_in(step_set: StepSet, inn: InDist) -> BigCount:
+    """S-embedded Cayley trees with a given in-type distribution
+    (cayley_in_factors)."""
+    return product(cayley_in_factors(step_set, inn), "Cayley in-type count")
+
+
+def sary_in_factors(step_set: StepSet, inn: InDist) -> Factors:
+    """S-ary trees with a prescribed in-type distribution: the Cayley rows
+    without n! (trees with all c-components <= 1 are injective)."""
     for (i, cv), c in inn.items():
         if c and any(b > 1 for b in cv):
             raise NotInjective(f"in-type ({i};{cv}) has a component > 1")
-    prof, _m = _check_in_dist(step_set, inn)
-    total = count_cayley_in(step_set, inn)
-    value = Fraction(total, math.factorial(prof.n))
-    return _as_int(value, "S-ary in-type count")
+    return _in_rows(step_set, inn)[1]
 
 
-# ---------------------------------------------------------------------------
-# complete-type formula
-# ---------------------------------------------------------------------------
+def count_sary_in(step_set: StepSet, inn: InDist) -> BigCount:
+    """S-ary trees with a given in-type distribution (sary_in_factors)."""
+    return product(sary_in_factors(step_set, inn), "S-ary in-type count")
 
-def _check_complete_dist(step_set: StepSet, root_in: CVec,
-                         comp: CompleteDist) -> tuple[Profile, int]:
+
+def _cayley_complete(step_set: StepSet, root_in: CVec, comp: CompleteDist
+                     ) -> tuple[Profile, Factors]:
+    p, out = _check_complete_dist(step_set, root_in, comp)
+    if p.r == 0:
+        return p, []
     m = step_set.m
-    expected = tuple(range(m, 0)) + (1,)
-    if 0 in step_set or step_set.steps != expected:
-        raise HypothesisViolation(
-            f"complete-type counting needs S = [m,-1] union {{1}}, got {step_set}")
-    width = 1 - m + 1
-    if len(root_in) != width or any(root_in[:-1]):
-        raise HypothesisViolation(
-            f"root in-type must be (0,...,0,c0^1), got {root_in}")
-    counts: dict[int, int] = {0: 1}
+    by_step_1: dict[int, int] = {}  # sum_b b n_1(i,1,b)
     for (i, s, cv), c in comp.items():
-        if c < 0:
-            raise IncompatibleDistribution("negative complete count")
-        if c == 0:
-            continue
-        if i < 0:
-            raise HypothesisViolation("complete counts must vanish at i < 0")
-        if len(cv) != width:
-            raise IncompatibleDistribution(f"c-vector {cv} must be dense over {m}..1")
-        if 0 >= m and cv[0 - m] != 0:
-            raise HypothesisViolation("complete counts must have c^0 = 0")
-        if s not in step_set:
-            raise IncompatibleDistribution(f"out step {s} outside S")
-        counts[i] = counts.get(i, 0) + c
-    lo, hi = min(counts), max(counts)
-    if any(counts.get(i, 0) == 0 for i in range(lo, hi + 1)):
-        raise IncompatibleDistribution("complete counts leave an empty abscissa")
-    prof = Profile([counts[i] for i in range(lo, hi + 1)], ell=lo)
-    if prof.r == 0:
-        if prof.n != 1 or any(root_in):
-            raise HypothesisViolation(
-                "r = 0 is supported only for the single-vertex tree")
-        return prof, m
-    # chi_{i=s} c0^s + sum_{t,c} c^s n(i-s,t,c) = sum_c n(i,s,c)
-    pairs = {(i, s) for (i, s, _cv) in comp}
-    for (j, _t, cv) in comp:
-        for idx, b in enumerate(cv):
-            if b:
-                pairs.add((j + m + idx, m + idx))
-    if root_in[-1]:
-        pairs.add((1, 1))
-    for (i, s) in pairs:
-        lhs = root_in[s - m] if i == s else 0
-        for (j, _t, cv), c in comp.items():
-            if j == i - s:
-                lhs += cv[s - m] * c
-        rhs = sum(c for (j, t, _cv), c in comp.items() if (j, t) == (i, s))
-        if lhs != rhs:
-            raise IncompatibleDistribution(
-                f"complete distribution incompatible at out-type ({i};{s})")
-    return prof, m
+        if s == 1:
+            by_step_1[i] = by_step_1.get(i, 0) + cv[1 - m] * c
+    return p, [("c_0^1", root_in[1 - m]), ("n!", math.factorial(p.n)),
+               *_complete_out(out, p.r),
+               ("prod_{i=1}^{r-1} sum_b b n_1(i,1,b)",
+                math.prod(by_step_1.get(i, 0) for i in range(1, p.r))),
+               _inverse_factorials("1/prod n(i,s,c)!", comp.values()),
+               _children_factorials([(root_in, 1), *(
+                   (cv, c) for (_i, _s, cv), c in comp.items())])]
 
 
-def count_cayley_complete(step_set: StepSet, root_in: CVec,
-                          comp: CompleteDist) -> BigCount:
+def cayley_complete_factors(step_set: StepSet, root_in: CVec,
+                            comp: CompleteDist) -> Factors:
     """Non-negative S-embedded Cayley trees (S = [m,-1] union {1}) whose root
     has in-type (0;c_0) and which have n(i,s,c) non-root vertices of complete
     type (i;s;c):
@@ -436,40 +520,15 @@ def count_cayley_complete(step_set: StepSet, root_in: CVec,
     c_0^1 n! prod n(i,s)! prod_{i=1}^{r-1} (sum_b b n_1(i,1,b))
     / (prod n(i,s,c)! prod_{i>0} n(i,1) prod_{b,s} b!^{n_s(b)}).
     """
-    prof, m = _check_complete_dist(step_set, root_in, comp)
-    if prof.r == 0:
-        return 1
-    out: dict[tuple[int, int], int] = {}
-    nsb: dict[tuple[int, int], int] = {}
-    n1ib: dict[tuple[int, int], int] = {}
-    for (i, s, cv), c in comp.items():
-        if c == 0:
-            continue
-        out[(i, s)] = out.get((i, s), 0) + c
-        for idx, b in enumerate(cv):
-            t = m + idx
-            nsb[(t, b)] = nsb.get((t, b), 0) + c
-        if s == 1:
-            b = cv[1 - m]
-            n1ib[(i, b)] = n1ib.get((i, b), 0) + c
-    nsb[(1, root_in[1 - m])] = nsb.get((1, root_in[1 - m]), 0) + 1
+    return _cayley_complete(step_set, root_in, comp)[1]
 
-    value = Fraction(root_in[1 - m])
-    value *= math.factorial(prof.n)
-    for cnt in out.values():
-        value *= math.factorial(cnt)
-    for i in range(1, prof.r):
-        value *= sum(b * n1ib.get((i, b), 0) for b in range(1, prof.n + 1))
-    for c in comp.values():
-        value /= math.factorial(c)
-    for i in range(1, prof.r + 1):
-        ni1 = out.get((i, 1), 0)
-        if ni1 == 0:
-            return 0  # no vertex of out-type (i;1): no such tree exists
-        value /= ni1
-    for (_s, b), cnt in nsb.items():
-        value /= Fraction(math.factorial(b)) ** cnt
-    return _as_int(value, "Cayley complete-type count")
+
+def count_cayley_complete(step_set: StepSet, root_in: CVec,
+                          comp: CompleteDist) -> BigCount:
+    """Non-negative S-embedded Cayley trees with a given root in-type and
+    complete-type distribution (cayley_complete_factors)."""
+    return product(cayley_complete_factors(step_set, root_in, comp),
+                   "Cayley complete-type count")
 
 
 # ---------------------------------------------------------------------------
@@ -500,35 +559,27 @@ def count_function_family(kind: str, regime: str, step_set: StepSet, *,
         raise ValueError(f"unknown regime {regime!r}")
     if kind.startswith("complete") and regime != "nonneg":
         raise HypothesisViolation("complete-type counting is nonneg only")
-    if kind in _FIXED_KINDS:
-        return _FIXED_KINDS[kind](regime, step_set, out=out,
-                                  vertex_in_types=vertex_in_types)
-    counted = {  # kind: (its profile, its tree count)
-        "profile": (lambda: profile, lambda: count_cayley_profile(step_set, profile)),
-        "injective_profile": (lambda: profile,
-                              lambda: count_sary_profile(step_set, profile)),
-        "out_counted": (lambda: _check_out_dist(step_set, out),
-                        lambda: count_cayley_out(step_set, out)),
-        "injective_out_counted": (lambda: _check_out_dist(step_set, out),
-                                  lambda: count_sary_out(step_set, out)),
-        "in_counted": (lambda: _check_in_dist(step_set, inn)[0],
-                       lambda: count_cayley_in(step_set, inn)),
-        "complete_counted": (
-            lambda: _check_complete_dist(step_set, root_in, complete)[0],
-            lambda: count_cayley_complete(step_set, root_in, complete)),
+    kinds = {  # kind: its profile and its rows
+        "profile": lambda: (profile, cayley_factors(step_set, profile)),
+        "injective_profile": lambda: (profile, sary_factors(step_set, profile)),
+        "out_counted": lambda: _cayley_out(step_set, out),
+        "injective_out_counted": lambda: _sary_out(step_set, out),
+        "in_counted": lambda: _cayley_in(step_set, inn),
+        "complete_counted": lambda: _cayley_complete(step_set, root_in, complete),
+        "out_fixed": lambda: _out_fixed(step_set, out),
+        "injective_out_fixed": lambda: _injective_out_fixed(step_set, out),
+        "in_fixed": lambda: _in_fixed(step_set, vertex_in_types),
+        "complete_fixed": lambda: _complete_fixed(step_set, vertex_in_types, out),
     }
-    if kind not in counted:
+    if kind not in kinds:
         raise ValueError(f"unknown kind {kind!r}")
-    profile_of, trees = counted[kind]
-    prof = profile_of()
+    prof, rows = kinds[kind]()
     _general_ok(regime, step_set, prof.ell)
-    kappa = [("n_r", prof.count(prof.r)),
-             ("n_ell if ell < 0", prof.count(prof.ell) if prof.ell < 0 else 1),
-             ("prod (n_i-1)!", math.prod(math.factorial(ni - 1) for _i, ni in prof.items()))]
-    if not kind.startswith("injective"):
-        kappa.append(("1/n!", Fraction(1, math.factorial(prof.n))))
-    return product([("trees", trees()), *kappa],
-                   f"{kind} function count")
+    if not kind.endswith("_fixed"):
+        rows = [*rows, *_ends(prof), _factorials(prof)]
+        if not kind.startswith("injective"):
+            rows.append(("1/n!", Fraction(1, math.factorial(prof.n))))
+    return product(rows, f"{kind} function count")
 
 
 def _general_ok(regime: str, step_set: StepSet, ell: int) -> None:
@@ -538,95 +589,47 @@ def _general_ok(regime: str, step_set: StepSet, ell: int) -> None:
         raise HypothesisViolation("ell < 0 needs min S = -1")
 
 
-def _ff_out_fixed(regime, step_set, *, out, **_kw) -> BigCount:
-    prof = _check_out_dist(step_set, out)
-    _general_ok(regime, step_set, prof.ell)
-    value = prof.count(prof.r)
-    if prof.ell < 0:
-        value *= prof.count(prof.ell)
-    for i, ni in prof.items():
-        value *= Fraction(ni) ** (_c_of(out, step_set, i) - 1)
-    return _as_int(Fraction(value), "out_fixed function count")
+def _out_fixed(step_set: StepSet, out: OutDist) -> tuple[Profile, Factors]:
+    """Prescribed out-type for every vertex: n_r n_ell prod_i n_i^(c(i)-1)."""
+    p = _check_out_dist(step_set, out)
+    return p, [*_ends(p), *_parent_choices(step_set, out, p)]
 
 
-def _ff_injective_out_fixed(regime, step_set, *, out, **_kw) -> BigCount:
-    prof = _check_out_dist(step_set, out)
-    _general_ok(regime, step_set, prof.ell)
-    value = Fraction(1)
-    lo = prof.ell + 1 if prof.ell < 0 else 0
-    hi = prof.r - 1
-    for i in range(lo, hi + 1):
-        value /= prof.count(i)
-    for (i, s), c in out.items():
-        value *= math.factorial(c) * comb(prof.count(i - s), c)
-    return _as_int(value, "injective_out_fixed function count")
+def _injective_out_fixed(step_set: StepSet, out: OutDist) -> tuple[Profile, Factors]:
+    """Prescribed out-type for every vertex, injective on each V_i:
+    n_r n_ell / prod_i n_i prod n(i,s)! C(n_{i-s}, n(i,s))."""
+    p = _check_out_dist(step_set, out)
+    return p, [*_ends(p), ("1/prod n_i", Fraction(1, math.prod(p.counts))),
+               ("prod n(i,s)! C(n_{i-s}, n(i,s))",
+                math.prod(math.perm(p.count(i - s), c) for (i, s), c in out.items()))]
 
 
-def _ff_in_fixed(regime, step_set, *, vertex_in_types, **_kw) -> BigCount:
-    """Prescribed in-type for every vertex (Lemma side; for the general regime
-    this counts the relaxed family where f(-1^1) may leave V_0)."""
-    if not step_set.is_interval():
-        raise HypothesisViolation("in-type counting needs an interval step set")
-    m = step_set.m
-    counts: dict[int, int] = {}
-    for v in vertex_in_types:
-        counts[v.i] = counts.get(v.i, 0) + 1
-    lo, hi = min(counts), max(counts)
-    prof = Profile([counts.get(i, 0) for i in range(lo, hi + 1)], ell=lo)
-    _general_ok(regime, step_set, prof.ell)
-    value = Fraction(1)
-    if prof.ell < 0:
-        value *= prof.count(-1)
-    for _i, ni in prof.items():
-        value *= math.factorial(ni - 1)
-    nsb: dict[tuple[int, int], int] = {}
-    for v, cv in vertex_in_types.items():
-        for idx, b in enumerate(cv):
-            nsb[(m + idx, b)] = nsb.get((m + idx, b), 0) + 1
-    for (_s, b), cnt in nsb.items():
-        value /= Fraction(math.factorial(b)) ** cnt
-    for i in range(0, prof.r):
-        value *= vertex_in_types[Vertex(i, 1)][1 - m]
-    for i in range(prof.ell + 1, 0):
-        value *= vertex_in_types[Vertex(i, 1)][-1 - m]
-    return _as_int(value, "in_fixed function count")
+def _in_fixed(step_set: StepSet, vertex_in_types: Mapping[Vertex, CVec]
+              ) -> tuple[Profile, Factors]:
+    """Prescribed in-type for every vertex (for the general regime this counts
+    the relaxed family where f(-1^1) may leave V_0)."""
+    inn = Counter((v.i, tuple(cv)) for v, cv in vertex_in_types.items())
+    p, _out = _check_in_dist(step_set, inn)
+    _check_vertices(p, vertex_in_types)
+    return p, [("n_-1 if ell < 0", p.count(-1) if p.ell < 0 else 1), _factorials(p),
+               _children_factorials((cv, 1) for cv in vertex_in_types.values()),
+               _spine_heads(vertex_in_types, p, step_set.m)]
 
 
-def _ff_complete_fixed(regime, step_set, *, vertex_in_types, out, **_kw) -> BigCount:
-    """Prescribed complete type for every vertex: in-types per vertex plus the
-    induced out-distribution (nonneg, 0 not in S)."""
-    m = step_set.m
-    expected = tuple(range(m, 0)) + (1,)
-    if step_set.steps != expected:
-        raise HypothesisViolation("complete-type counting needs S = [m,-1] union {1}")
-    counts: dict[int, int] = {}
-    for v in vertex_in_types:
-        counts[v.i] = counts.get(v.i, 0) + 1
-    lo, hi = min(counts), max(counts)
-    prof = Profile([counts.get(i, 0) for i in range(lo, hi + 1)], ell=lo)
-    value = Fraction(1)
-    for cnt in out.values():
-        value *= math.factorial(cnt)
-    nsb: dict[tuple[int, int], int] = {}
-    for _v, cv in vertex_in_types.items():
-        for idx, b in enumerate(cv):
-            nsb[(m + idx, b)] = nsb.get((m + idx, b), 0) + 1
-    for (_s, b), cnt in nsb.items():
-        value /= Fraction(math.factorial(b)) ** cnt
-    for i in range(1, prof.r + 1):
-        ni1 = out.get((i, 1), 0)
-        if ni1 == 0:
-            return 0
-        value /= ni1
-    for i in range(0, prof.r):
-        value *= vertex_in_types[Vertex(i, 1)][1 - m]
-    return _as_int(value, "complete_fixed function count")
-
-
-_FIXED_KINDS = {"out_fixed": _ff_out_fixed,
-                "injective_out_fixed": _ff_injective_out_fixed,
-                "in_fixed": _ff_in_fixed,
-                "complete_fixed": _ff_complete_fixed}
+def _complete_fixed(step_set: StepSet, vertex_in_types: Mapping[Vertex, CVec],
+                    out: OutDist) -> tuple[Profile, Factors]:
+    """Prescribed complete type for every vertex: its in-type, and out-steps
+    with the counts `out` (spine vertices i^1 taking the step 1 that (F)
+    forces); nonneg, 0 not in S."""
+    m = _check_complete_steps(step_set)
+    inn = Counter((v.i, tuple(cv)) for v, cv in vertex_in_types.items())
+    p, children = _in_profile(inn, m)
+    _check_vertices(p, vertex_in_types)
+    _check_children(children, {k: c for k, c in out.items() if c}, "complete prescription")
+    _check_out_dist(step_set, out)
+    return p, [*_complete_out(out, p.r),
+               _children_factorials((cv, 1) for cv in vertex_in_types.values()),
+               _spine_heads(vertex_in_types, p, m)]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .core import (
     validate_profile_for,
 )
 from . import formulas
+from .oracle import _compositions
 from .bijection_nonneg import phi
 from .bijection_general import psi
 
@@ -177,18 +178,10 @@ def sample_sary(step_set: StepSet, profile: Profile, seed=None) -> SAryTree:
 def enumerate_profiles(n: int) -> Iterator[Profile]:
     """All profiles of total size n: compositions of n into positive parts
     with a marked part for abscissa 0."""
-    def comps(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in comps(total - first, parts - 1):
-                yield (first,) + rest
-
     for k in range(1, n + 1):
-        for c in comps(n, k):
+        for c in _compositions(n - k, k):  # each part less one
             for ell in range(-(k - 1), 1):
-                yield Profile(c, ell=ell)
+                yield Profile([part + 1 for part in c], ell=ell)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Closed-form counts against paper values and brute-force oracles."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,8 @@ from embtrees import (
     Profile,
     StepSet,
     TargetTree,
+    Vertex,
+    VertexSet,
     count_binary_horizontal,
     count_binary_profile,
     count_cayley_complete,
@@ -175,6 +179,9 @@ class TestInCounts:
         S = StepSet([0, 1])
         with pytest.raises(IncompatibleDistribution):
             count_cayley_in(S, {(0, (1, 0)): 2})
+        # the root's child by step -2 would sit at abscissa -2, outside the profile
+        with pytest.raises(IncompatibleDistribution):
+            count_cayley_in(StepSet([-2, -1, 0, 1]), {(0, (1, 0, 0, 0)): 1})
 
 
 class TestCompleteCounts:
@@ -271,6 +278,197 @@ class TestFunctionFamilies:
                 assert count == count_function_family(
                     "complete_counted", "nonneg", S,
                     complete=comp, root_in=root_cv), (str(p),)
+
+
+def _out_steps(f):
+    return {v: v.i - w.i for v, w in f.image.items()}
+
+
+def _in_types(f):
+    """The c-vector of every vertex, dense over the steps m..1."""
+    m = f.step_set.m
+    pre = {v: [0] * (2 - m) for v in f.vertex_set.vertices()}
+    for v, w in f.image.items():
+        pre[w][v.i - w.i - m] += 1
+    return {v: tuple(cv) for v, cv in pre.items()}
+
+
+def _frozen(mapping):
+    return tuple(sorted(mapping.items()))
+
+
+def _fixed_cases(n_max, step_sets, nonneg=None):
+    """(S, profile, regime) for every profile with n <= n_max that S allows:
+    ell < 0 (the general regime) only when min S = -1 and nonneg is None."""
+    for S in step_sets:
+        for p in profiles_up_to(n_max, nonneg=(S.m != -1) or nonneg):
+            yield S, p, "nonneg" if p.ell == 0 else "general"
+
+
+def _in_type_prescriptions(p, m, allowed):
+    """Every c-vector per vertex of V with c^s <= n_{i+s}, nonzero only at
+    the steps in `allowed`, and n - 1 children in all."""
+    verts = list(VertexSet(p).vertices())
+    width = 2 - m
+    options = [[cv for cv in itertools.product(range(p.n), repeat=width)
+                if all(b == 0 or (s in allowed and b <= p.count(v.i + s))
+                       for s, b in zip(range(m, 2), cv))]
+               for v in verts]
+    for choice in itertools.product(*options):
+        if sum(map(sum, choice)) == p.n - 1:
+            yield dict(zip(verts, choice))
+
+
+def _children_of(vertex_in_types, m):
+    """n(i,s): the children by step s that the in-types put at abscissa i."""
+    below = Counter()
+    for v, cv in vertex_in_types.items():
+        for s, b in zip(range(m, 2), cv):
+            if b:
+                below[(v.i + s, s)] += b
+    return below
+
+
+def _in_compatible(p, vertex_in_types, m):
+    """chi_{i=0} + sum_{s, w in V_{i-s}} c^s(w) = n_i at every abscissa i."""
+    below = Counter()
+    for (i, _s), c in _children_of(vertex_in_types, m).items():
+        below[i] += c
+    return all(below[i] + (i == 0) == p.count(i)
+               for i in set(below) | set(range(p.ell, p.r + 1)))
+
+
+FIXED_STEP_SETS = (PM, StepSet([-1, 0, 1]), StepSet([0, 1]), StepSet([-2, -1, 1]))
+COMPLETE_STEP_SETS = (PM, StepSet([-2, -1, 1]))
+REJECTED = (IncompatibleDistribution, HypothesisViolation)
+
+
+class TestFixedKinds:
+    """A fixed kind prescribes the type of every vertex; the count must be
+    the number of functions of the family with exactly those types."""
+
+    def test_out_fixed_kinds_against_enumeration(self):
+        realised = 0
+        for S, p, regime in _fixed_cases(4, FIXED_STEP_SETS):
+            prescriptions = {_frozen(_out_steps(f))
+                             for f in enumerate_sfunctions(S, p, regime)}
+            for key in prescriptions:
+                steps = dict(key)
+                funcs = list(enumerate_sfunctions(S, p, regime, ("out_types", steps)))
+                injective = sum(1 for f in funcs
+                                if len({(v.i, w) for v, w in f.image.items()}) == len(f.image))
+                out = dict(Counter((v.i, s) for v, s in steps.items()))
+                assert count_function_family(
+                    "out_fixed", regime, S, out=out) == len(funcs), (S, str(p), key)
+                assert count_function_family(
+                    "injective_out_fixed", regime, S, out=out) == injective, (S, str(p), key)
+                realised += 1
+        assert realised == 134
+
+    def test_in_fixed_against_enumeration(self):
+        realised = 0
+        for S, p, regime in _fixed_cases(4, (StepSet([-1, 0, 1]), StepSet([0, 1]))):
+            # the general kind counts the relaxed family: f(-1^1) may leave V_0
+            constraint = "relaxed_spine" if regime == "general" else None
+            prescriptions = {_frozen(_in_types(f))
+                             for f in enumerate_sfunctions(S, p, regime, constraint)}
+            for key in prescriptions:
+                vertex_in = dict(key)
+                if regime == "nonneg":
+                    want = sum(1 for _ in enumerate_sfunctions(
+                        S, p, regime, ("in_types", vertex_in)))
+                else:
+                    want = sum(1 for f in enumerate_sfunctions(S, p, regime, constraint)
+                               if _in_types(f) == vertex_in)
+                assert count_function_family(
+                    "in_fixed", regime, S, vertex_in_types=vertex_in) == want, (S, str(p), key)
+                realised += 1
+        assert realised == 341
+
+    def test_complete_fixed_against_enumeration(self):
+        realised = 0
+        for S, p, regime in _fixed_cases(4, COMPLETE_STEP_SETS, nonneg=True):
+            prescriptions = {(_frozen(_in_types(f)), _frozen(_out_steps(f)))
+                             for f in enumerate_sfunctions(S, p, regime)}
+            for in_key, out_key in prescriptions:
+                vertex_in, steps = dict(in_key), dict(out_key)
+                funcs = enumerate_sfunctions(S, p, regime, ("in_types", vertex_in))
+                want = sum(1 for f in funcs if _out_steps(f) == steps)
+                out = dict(Counter((v.i, s) for v, s in steps.items()))
+                assert count_function_family(
+                    "complete_fixed", regime, S, vertex_in_types=vertex_in, out=out) == want, \
+                    (S, str(p), in_key, out_key)
+                realised += 1
+        assert realised == 33
+
+    def test_in_fixed_every_prescription(self):
+        """Compatible prescriptions give the exact count, zeros included;
+        incompatible ones raise."""
+        S = StepSet([-1, 0, 1])
+        tally = Counter()
+        for _S, p, regime in _fixed_cases(4, (S,)):
+            constraint = "relaxed_spine" if regime == "general" else None
+            realised = Counter(_frozen(_in_types(f))
+                               for f in enumerate_sfunctions(S, p, regime, constraint))
+            for vertex_in in _in_type_prescriptions(p, S.m, set(S)):
+                if _in_compatible(p, vertex_in, S.m):
+                    want = realised[_frozen(vertex_in)]
+                    assert count_function_family(
+                        "in_fixed", regime, S, vertex_in_types=vertex_in) == want, \
+                        (str(p), vertex_in)
+                    tally["zero" if want == 0 else "compatible"] += 1
+                else:
+                    with pytest.raises(REJECTED):
+                        count_function_family("in_fixed", regime, S, vertex_in_types=vertex_in)
+                    tally["incompatible"] += 1
+        assert tally == {"compatible": 272, "zero": 283, "incompatible": 1789}
+
+    def test_complete_fixed_every_prescription(self):
+        """Every in-type per vertex with every out-step per non-spine vertex
+        (spine vertices i^1 take the step 1 that (F) forces)."""
+        tally = Counter()
+        for S, p, regime in _fixed_cases(4, COMPLETE_STEP_SETS, nonneg=True):
+            realised = Counter((_frozen(_in_types(f)), _frozen(_out_steps(f)))
+                               for f in enumerate_sfunctions(S, p, regime))
+            vset = VertexSet(p)
+            free = [v for v in vset.vertices() if v.k != 1]
+            step_choices = [[s for s in S if 0 <= v.i - s <= p.r] for v in free]
+            spine = {Vertex(i, 1): 1 for i in range(1, p.r + 1)}
+            for choice in itertools.product(*step_choices):
+                steps = {**spine, **dict(zip(free, choice))}
+                out = dict(Counter((v.i, s) for v, s in steps.items()))
+                for vertex_in in _in_type_prescriptions(p, S.m, set(S)):
+                    if _children_of(vertex_in, S.m) == Counter(out):
+                        want = realised[(_frozen(vertex_in), _frozen(steps))]
+                        assert count_function_family(
+                            "complete_fixed", regime, S,
+                            vertex_in_types=vertex_in, out=out) == want, (S, str(p))
+                        tally["zero" if want == 0 else "compatible"] += 1
+                    else:
+                        with pytest.raises(REJECTED):
+                            count_function_family("complete_fixed", regime, S,
+                                                  vertex_in_types=vertex_in, out=out)
+                        tally["incompatible"] += 1
+        assert tally == {"compatible": 33, "zero": 17, "incompatible": 411}
+
+    def test_impossible_prescriptions_raise(self):
+        S = StepSet([-1, 0, 1])
+        # profile (1, 1) has one function, in which 0^1 has one preimage
+        with pytest.raises(IncompatibleDistribution):
+            count_function_family("in_fixed", "nonneg", S, vertex_in_types={
+                Vertex(0, 1): (0, 0, 2), Vertex(1, 1): (0, 0, 0)})
+        # 1^2 is not a vertex of (1, 1)
+        with pytest.raises(IncompatibleDistribution):
+            count_function_family("in_fixed", "nonneg", S, vertex_in_types={
+                Vertex(0, 1): (0, 0, 1), Vertex(1, 2): (0, 0, 0)})
+        # five vertices of out-type (1;1), but only one vertex at abscissa 1
+        with pytest.raises(IncompatibleDistribution):
+            count_function_family("complete_fixed", "nonneg", PM, vertex_in_types={
+                Vertex(0, 1): (0, 0, 1), Vertex(1, 1): (0, 0, 0)}, out={(1, 1): 5})
+        # a vertex at abscissa -1 in the nonneg regime
+        with pytest.raises(HypothesisViolation):
+            count_function_family("complete_fixed", "nonneg", PM, vertex_in_types={
+                Vertex(-1, 1): (0, 0, 0), Vertex(0, 1): (1, 0, 0)}, out={(-1, -1): 1})
 
 
 class TestBeyondMinusOne:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from embtrees import (
+    BudgetExceeded,
     Profile,
     SAryTree,
     StepSet,
@@ -28,7 +29,13 @@ from embtrees import (
 )
 from embtrees.bijection_general import classify_case, psi_with_trace
 from embtrees.bijection_nonneg import phi1, phi2
-from embtrees.core import embedded_cayley_to_json
+from embtrees.cli import main
+from embtrees.core import (
+    SARY_JSON_MAX_HEIGHT,
+    embedded_cayley_to_json,
+    sary_from_json,
+    sary_to_json,
+)
 
 STEP_SETS = [StepSet([-1, 0, 1]), StepSet([-1, 1])]
 
@@ -91,6 +98,23 @@ def test_sary_repr_on_a_long_line():
     shape = sample_sary(StepSet([-1, 0, 1]), Profile([1] * 1500))
     assert repr(shape) == ("SAryTree(abscissa=0, size=1500, height=1499, "
                            "root_steps=(1,))")
+
+
+def test_sary_json_round_trip_at_the_height_cap():
+    line = sample_sary(StepSet([-1, 0, 1]), Profile([1] * (SARY_JSON_MAX_HEIGHT + 1)))
+    text = sary_to_json(line)
+    assert sary_from_json(text) == line
+    # one level more, and the text is refused as well
+    with pytest.raises(BudgetExceeded):
+        sary_from_json('{"abscissa":-1,"children":{"-1":' + text + "}}")
+
+
+def test_sary_json_above_the_height_cap_is_a_budget_error(capsys):
+    profile = ",".join(["1"] * (SARY_JSON_MAX_HEIGHT + 2))
+    code = main(["sample", "sary", "--steps", "-1,0,1", "--profile", profile])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert f"capped at height {SARY_JSON_MAX_HEIGHT}" in out.err
 
 
 # 200 abscissas of 1-3 vertices, and 5 abscissas of 300-500 vertices
