@@ -1057,16 +1057,42 @@ def sary_to_json(t: SAryTree) -> str:
     return canonical_json(encoded[id(t)])
 
 
+def _int_or_none(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _sary_json_children(node) -> list:
+    if not (isinstance(node, dict) and isinstance(node.get("children"), dict)):
+        raise PreconditionViolated("an S-ary JSON node must be an object "
+                                   "with a children object")
+    return list(node["children"].values())
+
+
 def sary_from_json(text: str) -> SAryTree:
+    """Decode sary_to_json text.  Every node needs an int abscissa and
+    canonical integer step keys, and each child must sit at its parent's
+    abscissa plus its step; the height cap is checked before the rest."""
     try:
         data = json.loads(text)
     except RecursionError:
         raise BudgetExceeded(
             f"S-ary JSON is capped at height {SARY_JSON_MAX_HEIGHT}") from None
     built: dict[int, SAryTree] = {}
-    for node in _capped_bottom_up(data, lambda node: node["children"].values()):
-        built[id(node)] = SAryTree(node["abscissa"], tuple(sorted(
-            (int(s), built[id(c)]) for s, c in node["children"].items())))
+    for node in _capped_bottom_up(data, _sary_json_children):
+        a = node.get("abscissa")
+        if type(a) is not int:
+            raise PreconditionViolated(f"S-ary JSON abscissa {a!r} is not an int")
+        children = []
+        for key, c in node["children"].items():
+            step = _int_or_none(key)
+            if step is None or str(step) != key or built[id(c)].abscissa != a + step:
+                raise PreconditionViolated(
+                    f"S-ary JSON child {key!r} of a node at {a} is not at its step")
+            children.append((step, built[id(c)]))
+        built[id(node)] = SAryTree(a, tuple(sorted(children)))
     return built[id(data)]
 
 

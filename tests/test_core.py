@@ -511,3 +511,33 @@ class TestSerialization:
         t = next(iter(enumerate_embedded_cayley(S, Profile.parse("2,1"))))
         assert embedded_cayley_to_json(t) == embedded_cayley_to_json(t)
         assert " " not in embedded_cayley_to_json(t)
+
+    MALFORMED_SARY = {
+        "two keys for step 1": '{"abscissa":0,"children":{'
+                               '"1":{"abscissa":1,"children":{}},'
+                               '"01":{"abscissa":1,"children":{}}}}',
+        "child off its step": '{"abscissa":0,"children":'
+                              '{"1":{"abscissa":5,"children":{}}}}',
+        "padded key": '{"abscissa":0,"children":'
+                      '{" 1":{"abscissa":1,"children":{}}}}',
+        "string abscissa": '{"abscissa":"x","children":{}}',
+        "bool abscissa": '{"abscissa":true,"children":{}}',
+        "non-integer key": '{"abscissa":0,"children":'
+                           '{"a":{"abscissa":1,"children":{}}}}',
+        "array node": '[]',
+        "array child": '{"abscissa":0,"children":{"1":[]}}',
+        "no children": '{"abscissa":0}',
+        "no abscissa": '{"children":{}}',
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_SARY))
+    def test_sary_from_json_rejects_malformed_text(self, kind):
+        with pytest.raises(PreconditionViolated):
+            sary_from_json(self.MALFORMED_SARY[kind])
+
+    def test_sary_from_json_accepts_negative_and_zero_steps(self):
+        text = ('{"abscissa":0,"children":{"-1":{"abscissa":-1,"children":'
+                '{"0":{"abscissa":-1,"children":{}}}},"1":{"abscissa":1,'
+                '"children":{}}}}')
+        tree = sary_from_json(text)
+        assert sary_to_json(tree) == text and tree.size() == 4

@@ -1,6 +1,7 @@
 """Property tests at sizes the oracle cannot reach: bijection round trips with
 census preservation near n = 10^3, both samplers near n = 10^4, seeded
-samples pinned byte for byte, and the samplers under python -O."""
+samples and the small bijection outputs pinned byte for byte, and the
+samplers under python -O."""
 
 import hashlib
 import os
@@ -16,6 +17,7 @@ from embtrees import (
     Profile,
     SAryTree,
     StepSet,
+    enumerate_sfunctions,
     equivalent,
     phi,
     phi_inverse,
@@ -28,14 +30,19 @@ from embtrees import (
     type_distribution_of,
 )
 from embtrees.bijection_general import classify_case, psi_with_trace
-from embtrees.bijection_nonneg import phi1, phi2
+from embtrees.bijection_nonneg import phi1, phi2, phi_with_trace
 from embtrees.cli import main
 from embtrees.core import (
     SARY_JSON_MAX_HEIGHT,
+    canonical_json,
     embedded_cayley_to_json,
+    marked_stree_to_json,
     sary_from_json,
     sary_to_json,
+    sfunction_to_json,
 )
+
+from conftest import profiles_up_to
 
 STEP_SETS = [StepSet([-1, 0, 1]), StepSet([-1, 1])]
 
@@ -137,6 +144,35 @@ def test_seeded_samples_are_pinned():
                 shape = sample_sary(steps, p, seed=202)
                 digest.update(repr(shape._key()).encode())
     assert digest.hexdigest() == SAMPLES_SHA256
+
+
+BIJECTION_STEP_SETS = [StepSet(s) for s in ([-1, 1], [-1, 0, 1], [0, 1],
+                                            [-2, -1, 1], [-2, -1, 0, 1])]
+BIJECTIONS_SHA256 = "368a872334cb6c648b5db1e197700a47c79b981ac688fce264bd56749e02ddfa"
+
+
+def test_bijection_outputs_are_pinned():
+    """Every (F)-function with n <= 4 over five step sets, and n = 5 for
+    S = {-1, 1} (826 functions, every case A1 / A2 / A3 / B among them):
+    the phi / psi traces, their trees and the inverses hash to a pinned
+    digest, so a change to the bijections that alters an output shows here."""
+    digest = hashlib.sha256()
+    count = 0
+    cases = set()
+    for steps in BIJECTION_STEP_SETS:
+        n_max = 5 if steps == StepSet([-1, 1]) else 4
+        for p in profiles_up_to(n_max, nonneg=None if steps.m == -1 else True):
+            general = p.ell < 0
+            for f in enumerate_sfunctions(steps, p, "general" if general else "nonneg"):
+                tree, trace = (psi_with_trace if general else phi_with_trace)(f)
+                back = (psi_inverse if general else phi_inverse)(tree)
+                cases.add(trace.get("case"))
+                for text in (canonical_json(trace), marked_stree_to_json(tree),
+                             sfunction_to_json(back)):
+                    digest.update(text.encode() + b"\n")
+                count += 1
+    assert count == 826 and cases == {None, "A1", "A2", "A3", "B"}
+    assert digest.hexdigest() == BIJECTIONS_SHA256
 
 
 @pytest.mark.parametrize("steps", STEP_SETS, ids=str)
