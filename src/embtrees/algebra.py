@@ -221,53 +221,33 @@ def bareiss_determinant(matrix: list[list[Fraction | int]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the Laplacian system of the blown-up digraph K
+# Laplacian minors: the matrix-tree theorem
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LaplacianSystem:
-    """Weighted digraph K on V: arc i^p -> j^q iff the vertices differ and
-    j = i - s for some s in S, with weight x_{i,s}.  The Laplacian has the
-    weighted out-degree on the diagonal; spanning trees of K rooted at a
-    vertex are counted by the minor deleting that vertex's row and column."""
-
-    profile: Profile
-    step_set: StepSet
-    weights: WeightAssignment
-
-    def vertices(self) -> list[Vertex]:
-        return list(VertexSet(self.profile).vertices())
-
-    def laplacian(self) -> list[list[Fraction]]:
-        p = self.profile
-        verts = self.vertices()
-        index = {v: i for i, v in enumerate(verts)}
-        size = len(verts)
-        mat = [[Fraction(0)] * size for _ in range(size)]
-        for v in verts:
-            diag = sum(Fraction(p.count(v.i - s)) * self.weights.get(v.i, s)
-                       for s in self.step_set)
-            if 0 in self.step_set:
-                diag -= self.weights.get(v.i, 0)
-            mat[index[v]][index[v]] = diag
-            for s in self.step_set:
-                for w in VertexSet(p).level(v.i - s):
-                    if w != v:
-                        mat[index[v]][index[w]] = -self.weights.get(v.i, s)
-        return mat
-
-    def minor_without(self, v: Vertex) -> list[list[Fraction]]:
-        verts = self.vertices()
-        keep = [i for i, w in enumerate(verts) if w != v]
-        mat = self.laplacian()
-        return [[mat[r][c] for c in keep] for r in keep]
+def _minor_det(verts: list, arcs: Callable[[object], list], root) -> Fraction:
+    """det of the Laplacian of a weighted digraph with root's row and column
+    removed: the generating function of its spanning trees rooted at root.
+    arcs(v) lists the weighted arcs [(w, x), ...] leaving v; the Laplacian
+    has the weighted out-degree on the diagonal and -x at (v, w)."""
+    keep = [v for v in verts if v != root]
+    index = {v: j for j, v in enumerate(keep)}
+    minor = [[0] * len(keep) for _ in keep]
+    for v in keep:
+        row = minor[index[v]]
+        for w, x in arcs(v):
+            row[index[v]] += x
+            if w in index:
+                row[index[w]] -= x
+    return bareiss_determinant(minor)
 
 
 def laplacian_minor_det(profile: Profile, step_set: StepSet,
                         weights: WeightAssignment | Mapping | None = None
                         ) -> Fraction:
     """det of the Laplacian of K with the row and column of 0^{n_0} removed:
-    the generating function of spanning trees of K rooted at 0^{n_0}.
+    the generating function of spanning trees of K rooted at 0^{n_0}.  K is
+    the weighted digraph on V with an arc i^p -> j^q of weight x_{i,s}
+    whenever the vertices differ and j = i - s for some s in S.
 
     Equals (prod_{i<0} x_{i,-1}) (prod_{i>0} x_{i,1}) (prod_{l+1}^{r-1} n_i)
     prod_i (sum_s n_{i-s} x_{i,s})^{n_i-1} under min S = -1 or l = 0.
@@ -275,9 +255,13 @@ def laplacian_minor_det(profile: Profile, step_set: StepSet,
     if profile.n > 60:
         raise BudgetExceeded("dense exact determinant guard: n <= 60")
     weights = WeightAssignment.coerce(weights)
-    system = LaplacianSystem(profile, step_set, weights)
-    minor = system.minor_without(Vertex(0, profile.count(0)))
-    return bareiss_determinant(minor)
+    vset = VertexSet(profile)
+
+    def arcs(v: Vertex) -> list[tuple[Vertex, Fraction | int]]:
+        return [(w, weights.get(v.i, s)) for s in step_set
+                for w in vset.level(v.i - s) if w != v]
+
+    return _minor_det(list(vset.vertices()), arcs, Vertex(0, profile.count(0)))
 
 
 def spanning_product_formula(profile: Profile, step_set: StepSet,
@@ -360,19 +344,13 @@ def tree_in_tree_det(target: TargetTree) -> int:
     if t.n > 60:
         raise BudgetExceeded("dense exact determinant guard: n <= 60")
     adj = t.adjacency()
+    counts = dict(t.counts)
+
+    def arcs(v: tuple[int, int]) -> list[tuple[tuple[int, int], int]]:
+        return [((j, q), 1) for j in adj[v[0]] for q in range(1, counts[j] + 1)
+                if (j, q) != v]
+
     verts = [(i, p) for i, c in t.counts for p in range(1, c + 1)]
-    index = {v: j for j, v in enumerate(verts)}
-    size = len(verts)
-    mat = [[0] * size for _ in range(size)]
-    for (i, p) in verts:
-        for j in adj[i]:
-            for q in range(1, t.count(j) + 1):
-                if (i, p) != (j, q):
-                    mat[index[(i, p)]][index[(j, q)]] -= 1
-                    mat[index[(i, p)]][index[(i, p)]] += 1
-    root_idx = index[(t.root, 1)]
-    keep = [j for j in range(size) if j != root_idx]
-    minor = [[Fraction(mat[r][c]) for c in keep] for r in keep]
-    det = bareiss_determinant(minor)
+    det = _minor_det(verts, arcs, (t.root, 1))
     return product([("n_rho n!/prod n_i! det", t.count(t.root) * _multinomial(
         c for _i, c in t.counts) * det)], "tree-in-tree determinant count")

@@ -19,6 +19,10 @@ the 0^1 / v_0 pair in the A cases, and consecutive frustrated lower records
 of the marked path everywhere.  The tree-side images are characterized by
 (T1) together with (T2') or (T2'') and by where the meet of ell^1 and the
 mark falls relative to 0^1 and the vertex following 1^1.
+
+The stages shared with the non-negative bijection (cutting, concatenating,
+splitting at lower records, finding frustrated records, swapping) live in
+bijection_nonneg; this module holds the case analysis around them.
 """
 
 from __future__ import annotations
@@ -41,8 +45,15 @@ from .core import (
 from .bijection_nonneg import (
     Piece,
     _close_marked_segment,
+    _consecutive_pairs,
+    _cut_spine,
+    _cycles_by_abscissa,
+    _frustrated,
     _functional_cycles,
-    _records_forward,
+    _left_concatenations,
+    _preimages,
+    _record_pieces,
+    _right_concatenations,
     _swap_hanging_subtrees,
 )
 
@@ -63,9 +74,7 @@ class WPartition:
     _on_cycle: set[Vertex] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.cycles_at = {}
-        for cyc in self.cycles:
-            self.cycles_at.setdefault(cyc[0].i, []).append(cyc)
+        self.cycles_at = _cycles_by_abscissa(self.cycles)
         self._on_cycle = {v for cyc in self.cycles for v in cyc}
 
     def block_of(self, v: Vertex) -> int:
@@ -73,15 +82,6 @@ class WPartition:
 
     def on_cycle(self, v: Vertex) -> bool:
         return v in self._on_cycle
-
-
-def _cut_spine(f: SFunction) -> dict[Vertex, Vertex]:
-    arcs = dict(f.image)
-    p = f.profile
-    for i in p.abscissas():
-        if i != 0:
-            del arcs[Vertex(i, 1)]
-    return arcs
 
 
 def _analyze(arcs: dict[Vertex, Vertex], vset: VertexSet) -> WPartition:
@@ -135,47 +135,6 @@ def classify_case(f: SFunction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# concatenation builders (operate on a mutable arc dict)
-# ---------------------------------------------------------------------------
-
-def _build_L(arcs: dict[Vertex, Vertex], part: WPartition, i: int
-             ) -> tuple[Vertex, list[Piece], list[Vertex]]:
-    """Left concatenation L(i): cut the arc entering each cycle source at
-    abscissa i, order pieces by decreasing source, chain left to right.
-    Returns (entry vertex a_i, pieces, distinguished path)."""
-    pieces = [Piece(Vertex(i, 1), Vertex(i, 1), (Vertex(i, 1),))]
-    for cyc in part.cycles_at.get(i, ()):
-        del arcs[cyc[-1]]  # the arc entering the source
-        pieces.append(Piece(cyc[0], cyc[-1], tuple(cyc)))
-    pieces.sort(key=lambda pc: pc.source, reverse=True)
-    for left, right in zip(pieces, pieces[1:]):
-        arcs[left.sink] = right.source
-    path = [v for pc in pieces for v in pc.path]
-    return pieces[0].source, pieces, path
-
-
-def _build_R(arcs: dict[Vertex, Vertex], part: WPartition, i: int,
-             exclude: Vertex | None = None
-             ) -> tuple[Vertex, list[Piece], list[Vertex]]:
-    """Right concatenation R(i): cut the arc leaving each cycle source at
-    abscissa i, order pieces by increasing sink (the old sources become
-    sinks), chain left to right from i^1.  Returns (root b_i, pieces, path).
-    A cycle whose source is `exclude` is left out (case A2)."""
-    pieces = [Piece(Vertex(i, 1), Vertex(i, 1), (Vertex(i, 1),))]
-    for cyc in part.cycles_at.get(i, ()):
-        mn = cyc[0]
-        if mn != exclude:
-            del arcs[mn]  # the arc leaving the source
-            path = tuple(cyc[1:] + [mn])
-            pieces.append(Piece(path[0], mn, path))
-    pieces.sort(key=lambda pc: pc.sink)
-    for left, right in zip(pieces, pieces[1:]):
-        arcs[left.sink] = right.source
-    path = [v for pc in pieces for v in pc.path]
-    return pieces[-1].sink, pieces, path
-
-
-# ---------------------------------------------------------------------------
 # the forward map, case by case
 # ---------------------------------------------------------------------------
 
@@ -186,7 +145,6 @@ class _Assembly:
     case: str
     tree: MarkedSTree
     v0: Vertex
-    w0: Vertex
     pieces: dict[str, list[Piece]] = field(default_factory=dict)
     special: dict[str, Vertex] = field(default_factory=dict)
 
@@ -218,25 +176,17 @@ def _psi1(f: SFunction) -> _Assembly:
         special["u"] = u
         exclude = cyc[0]
 
-    entries: dict[int, Vertex] = {}
-    roots: dict[int, Vertex] = {}
     l_low = 0 if case == "B" else 1
-    for i in range(l_low, p.r + 1):
-        a_i, pcs, _path = _build_L(arcs, part, i)
-        entries[i] = a_i
-        pieces[f"L({i})"] = pcs
-    r_high = -1 if case == "B" else 0
-    for i in range(p.ell, r_high + 1):
-        b_i, pcs, _path = _build_R(arcs, part, i, exclude=exclude)
-        roots[i] = b_i
-        pieces[f"R({i})"] = pcs
+    left = _left_concatenations(arcs, part.cycles_at, l_low, p.r, f.step_set)
+    right = _right_concatenations(arcs, part.cycles_at, p.ell,
+                                  -1 if case == "B" else 0, exclude)
+    # in concatenation order: L(r), ..., L(l_low), then R(ell), ...
+    pieces.update((f"L({i})", left[i]) for i in reversed(left))
+    pieces.update((f"R({i})", pcs) for i, pcs in right.items())
 
     if case == "B":
         # surgery on the left concatenation containing v_0
-        i0 = part.block_of(v0)
-        lpath = set()
-        for pc in pieces[f"L({i0})"]:
-            lpath.update(pc.path)
+        lpath = {v for pc in left[part.block_of(v0)] for v in pc.path}
         chain = [v0]
         while chain[-1] not in lpath:
             chain.append(arcs[chain[-1]])
@@ -255,32 +205,25 @@ def _psi1(f: SFunction) -> _Assembly:
             x0 = y0 = v0
             special.update({"x0": x0, "y0": y0})
 
-    # chain the concatenations
-    for i in range(p.r, l_low, -1):
-        arcs[Vertex(i, 1)] = entries[i - 1]
-    for i in range(p.ell + 1, r_high + 1):
-        arcs[roots[i - 1]] = Vertex(i, 1)
-
     if case in ("A1", "A2", "A3"):
         if p.r >= 1:
             arcs[Vertex(1, 1)] = v0
         if case == "A2":
             arcs[special["u"]] = Vertex(0, 1)
-        root = roots[0]
-        mark = entries[p.r] if p.r >= 1 else v0
+        root = right[0][-1].sink
+        mark = left[p.r][0].source if p.r >= 1 else v0
     else:
-        arcs[roots[-1]] = special["y0"]
+        arcs[right[-1][-1].sink] = special["y0"]
         if "x_minus1" in special:
             arcs[Vertex(0, 1)] = special["x_minus1"]
             arcs[special["y_minus1"]] = v0
             root = special["x0"]
         else:
             root = Vertex(0, 1)
-        mark = entries[p.r]
+        mark = left[p.r][0].source
 
-    w0 = v0
     tree = MarkedSTree(vset, f.step_set, arcs, root=root, mark=mark)
-    return _Assembly(case, tree, v0, w0, pieces, special)
+    return _Assembly(case, tree, v0, pieces, special)
 
 
 def psi1(f: SFunction) -> MarkedSTree:
@@ -322,7 +265,7 @@ def _case_certificate(assembly: _Assembly) -> None:
     case, meet, w0 = _tree_case(assembly.tree)
     assert case == assembly.case, (case, assembly.case)
     if case in ("A1", "A2", "A3"):
-        assert w0 == assembly.w0, "the vertex after 1^1 must be v_0"
+        assert w0 == assembly.v0, "the vertex after 1^1 must be v_0"
     else:
         assert meet == assembly.special["v"], "the meet must be the attachment point"
 
@@ -331,29 +274,20 @@ def _case_certificate(assembly: _Assembly) -> None:
 # Psi_1 inverse, case by case
 # ---------------------------------------------------------------------------
 
-def _close_ell_segment(arcs: dict[Vertex, Vertex], segment: list[Vertex],
-                       ell: int) -> None:
+def _close_ell_segment(arcs: dict[Vertex, Vertex], segment: list[Vertex]) -> None:
     """Undo a chained right concatenation: walk `segment` (from the chain
     root down to ell^1) against the arcs, split at the lower records, close
     cycles, restore the spine arcs i^1 -> (i+1)^1 for i in [ell, -2].
 
     segment[0] is the walk start (its out-arc, if any, must already be cut).
     """
-    records = _records_forward(segment)
-    pos = {v: j for j, v in enumerate(segment)}
-    for idx, sink in enumerate(records):
-        source = (segment[pos[records[idx + 1]] - 1]
-                  if idx + 1 < len(records) else segment[-1])
-        if sink.k == 1:
-            if source != sink:
-                raise ConditionViolated(
-                    f"spine piece at {sink} is not a single vertex")
-            if sink.i <= -2:
-                arcs[sink] = Vertex(sink.i + 1, 1)
-            elif sink in arcs:
-                del arcs[sink]
-        else:
+    for sink, source in _record_pieces(segment):
+        if sink.k != 1:
             arcs[sink] = source
+        elif sink.i <= -2:
+            arcs[sink] = Vertex(sink.i + 1, 1)
+        else:
+            arcs.pop(sink, None)
 
 
 def _psi1_inverse_arcs(tree: MarkedSTree, case: str, w0: Vertex
@@ -370,13 +304,10 @@ def _psi1_inverse_arcs(tree: MarkedSTree, case: str, w0: Vertex
             arcs[Vertex(1, 1)] = Vertex(0, 1)
         if case == "A2":
             # cut the arc entering 0^1 on the marked path, close the cycle
-            idx0 = mark_path.index(Vertex(0, 1))
-            u = mark_path[idx0 - 1]
-            del arcs[u]
-            arcs[u] = w0
+            arcs[mark_path[mark_path.index(Vertex(0, 1)) - 1]] = w0
         ell_path = tree.path_to_root(Vertex(p.ell, 1))
         segment = list(reversed(ell_path))  # from the root down to ell^1
-        _close_ell_segment(arcs, segment, p.ell)
+        _close_ell_segment(arcs, segment)
         arcs[Vertex(-1, 1)] = w0
         if case == "A3" and w0 != Vertex(0, 1):
             # w_0 sits on a cycle: cut the arc entering it, redirect onto 0^1
@@ -400,17 +331,14 @@ def _psi1_inverse_arcs(tree: MarkedSTree, case: str, w0: Vertex
     y0 = ell_to_meet[ell_to_meet.index(b_1) + 1]
     del arcs[b_1]
     segment = list(reversed(ell_path[:ell_path.index(b_1) + 1]))
-    _close_ell_segment(arcs, segment, p.ell)
+    _close_ell_segment(arcs, segment)
 
     if tree.root != Vertex(0, 1):
         x_1 = tree.parent[Vertex(0, 1)]
         if x_1.i != -1:
             raise ConditionViolated("0^1 must be followed by a V_{-1} vertex")
         root_path = tree.path_to_root(Vertex(0, 1))
-        y_1 = None
-        for v in root_path:
-            if v.i == -1:
-                y_1 = v
+        y_1 = [v for v in root_path if v.i == -1][-1]
         v0 = root_path[root_path.index(y_1) + 1]
         x0 = tree.root
         del arcs[Vertex(0, 1)]
@@ -426,10 +354,15 @@ def _psi1_inverse_arcs(tree: MarkedSTree, case: str, w0: Vertex
     return arcs
 
 
-def psi1_inverse(tree: MarkedSTree) -> SFunction:
+def _reconstruct(tree: MarkedSTree) -> tuple[str, Vertex, SFunction]:
+    """The tree's case, its w_0, and the function Psi_1 maps to it."""
     case, _meet, w0 = _tree_case(tree)
     arcs = _psi1_inverse_arcs(tree, case, w0)
-    f = SFunction(tree.vertex_set, tree.step_set, arcs)
+    return case, w0, SFunction(tree.vertex_set, tree.step_set, arcs)
+
+
+def psi1_inverse(tree: MarkedSTree) -> SFunction:
+    f = _reconstruct(tree)[2]
     if not satisfies_condition_f(f):
         raise ConditionViolated("reconstruction violates condition (F)")
     return f
@@ -438,13 +371,6 @@ def psi1_inverse(tree: MarkedSTree) -> SFunction:
 # ---------------------------------------------------------------------------
 # Psi_2: repairing in-types
 # ---------------------------------------------------------------------------
-
-def _in_profiles(image: dict[Vertex, Vertex]) -> dict[Vertex, tuple]:
-    pre: dict[Vertex, list[int]] = {}
-    for v, w in image.items():
-        pre.setdefault(w, []).append(v.i)
-    return {v: tuple(sorted(a)) for v, a in pre.items()}
-
 
 def _psi2_swaps(tree: MarkedSTree, g: SFunction, case: str, w0: Vertex
                 ) -> MarkedSTree:
@@ -458,33 +384,21 @@ def _psi2_swaps(tree: MarkedSTree, g: SFunction, case: str, w0: Vertex
         out = _swap_hanging_subtrees(out, [(Vertex(0, 1), w0)],
                                      [mark_path, ell_path])
 
-    f_in = _in_profiles(g.image)
-    t_in = _in_profiles(tree.parent)
-    bottom = Vertex(1, 1) if (case != "B" and p.r >= 1) else Vertex(0, 1)
-    if case != "B" and p.r == 0:
-        segment = []  # no record corrections beyond the special pair
+    f_pre, t_pre = _preimages(g.image), _preimages(tree.parent)
+    if case == "B":
+        segment, specials = mark_path[:mark_path.index(Vertex(0, 1)) + 1], set()
     else:
-        segment = mark_path[:mark_path.index(bottom) + 1]
-    records = set(_records_forward(segment))
-    frustrated: dict[int, list[Vertex]] = {}
-    specials = {Vertex(0, 1), w0} if case != "B" else set()
-    for v in segment:
-        if v in specials:
-            continue
-        if f_in.get(v, ()) != t_in.get(v, ()):
-            assert v in records, f"frustrated vertex {v} is not a lower record"
-            frustrated.setdefault(v.i, []).append(v)
+        # with r = 0 no record needs correcting beyond the special pair
+        segment = mark_path[:mark_path.index(Vertex(1, 1)) + 1] if p.r >= 1 else []
+        specials = {Vertex(0, 1), w0}
+    pairs = _consecutive_pairs(_frustrated(f_pre, t_pre, segment, specials))
     if __debug__:
         seg_set = set(segment)
         for v in tree.vertex_set.vertices():
             if v in seg_set or v in specials:
                 continue
-            assert f_in.get(v, ()) == t_in.get(v, ()), \
+            assert sorted(f_pre.get(v, ())) == sorted(t_pre.get(v, ())), \
                 f"vertex {v} off the marked segment must keep its in-type"
-    pairs = []
-    for _i, verts in sorted(frustrated.items()):
-        assert len(verts) % 2 == 0, "frustrated records must pair up"
-        pairs.extend(zip(verts[0::2], verts[1::2]))
     if pairs:
         out = _swap_hanging_subtrees(out, pairs, [mark_path])
     return out
@@ -492,9 +406,7 @@ def _psi2_swaps(tree: MarkedSTree, g: SFunction, case: str, w0: Vertex
 
 def psi2(tree: MarkedSTree) -> MarkedSTree:
     """The repairing involution on the tree side of each case."""
-    case, _meet, w0 = _tree_case(tree)
-    arcs = _psi1_inverse_arcs(tree, case, w0)
-    g = SFunction(tree.vertex_set, tree.step_set, arcs)
+    case, w0, g = _reconstruct(tree)
     return _psi2_swaps(tree, g, case, w0)
 
 
@@ -512,47 +424,34 @@ def psi_with_trace(f: SFunction) -> tuple[MarkedSTree, dict]:
     assembly = _psi1(f)
     if __debug__:
         _case_certificate(assembly)
-    out = _psi2_swaps(assembly.tree, f, assembly.case, assembly.w0)
+    out = _psi2_swaps(assembly.tree, f, assembly.case, assembly.v0)
     if __debug__:
         d_in = type_distribution_of(f)
         d_out = type_distribution_of(out)
         assert d_in.in_key() == d_out.in_key(), "psi must preserve the in-type census"
         assert d_in.out_key() == d_out.out_key(), "psi must preserve the out-type census"
-    p = f.profile
-    l_low = 0 if assembly.case == "B" else 1
-    r_high = -1 if assembly.case == "B" else 0
-    order = [f"L({i})" for i in range(p.r, l_low - 1, -1)]
-    order += [f"R({i})" for i in range(p.ell, r_high + 1)]
     trace = {
         "regime": "general",
         "case": assembly.case,
-        "mark": [out.mark.i, out.mark.k],
-        "root": [out.root.i, out.root.k],
-        "v0": [assembly.v0.i, assembly.v0.k],
-        "special": {k: [v.i, v.k] for k, v in assembly.special.items()},
-        "concatenation": order,
-        "pieces": {
-            name: [{"source": [pc.source.i, pc.source.k],
-                    "sink": [pc.sink.i, pc.sink.k],
-                    "path": [[v.i, v.k] for v in pc.path]} for pc in pcs]
-            for name, pcs in assembly.pieces.items()
-        },
+        "mark": list(out.mark),
+        "root": list(out.root),
+        "v0": list(assembly.v0),
+        "special": {k: list(v) for k, v in assembly.special.items()},
+        "concatenation": [name for name in assembly.pieces if name != "Ctilde"],
+        "pieces": {name: [pc.to_json() for pc in pcs]
+                   for name, pcs in assembly.pieces.items()},
     }
     return out, trace
 
 
 def psi_inverse(tree: MarkedSTree) -> SFunction:
     """psi2 is an involution on each case's tree set, so the inverse is the
-    case reconstruction applied after psi2."""
-    case, _meet, w0 = _tree_case(tree)
-    arcs = _psi1_inverse_arcs(tree, case, w0)
-    g = SFunction(tree.vertex_set, tree.step_set, arcs)
+    case reconstruction applied after psi2; the repaired tree's case and
+    w_0 must be the tree's own."""
+    case, w0, g = _reconstruct(tree)
     repaired = _psi2_swaps(tree, g, case, w0)
-    if __debug__:
-        case2, _m2, w2 = _tree_case(repaired)
-        assert case2 == case and w2 == w0, "psi2 must preserve the case"
-    arcs = _psi1_inverse_arcs(repaired, case, w0)
-    f = SFunction(tree.vertex_set, tree.step_set, arcs)
+    case2, w2, f = _reconstruct(repaired)
+    assert case2 == case and w2 == w0, "psi2 must preserve the case"
     if not satisfies_condition_f(f):
         raise ConditionViolated("reconstruction violates condition (F)")
     return f

@@ -1,4 +1,5 @@
-"""The bijection for non-negative profiles (ell = 0).
+"""The bijection for non-negative profiles (ell = 0), and the stages the
+general bijection shares with it.
 
 Phi_1 cuts the spine arcs i^1 -> (i-1)^1 of a function satisfying (F) and the
 arc entering the smallest vertex of every cycle, then chains the resulting
@@ -7,6 +8,11 @@ pieces by decreasing source into a single path from the mark down to the root
 sources can change when 0 is an allowed step; Phi_2 repairs them by swapping
 the hanging subtrees of consecutive frustrated sources (an involution).  When
 0 is not in S, Phi_2 is the identity and even complete types survive.
+
+Psi (bijection_general) repeats these stages on both sides of abscissa 0, so
+they live here once: cutting the spine and indexing cycles by abscissa, the
+left and right concatenations, splitting a path at its lower records, and
+finding the frustrated records whose hanging subtrees are swapped.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ class Piece:
             return
         raise AssertionError(f"piece {self.source}->{self.sink} violates the shape lemma")
 
+    def to_json(self) -> dict:
+        return {"source": list(self.source), "sink": list(self.sink),
+                "path": [list(v) for v in self.path]}
+
 
 @dataclass
 class FrustrationRecord:
@@ -60,9 +70,6 @@ class FrustrationRecord:
     frustrated."""
 
     by_abscissa: dict[int, list[tuple[Vertex, str]]] = field(default_factory=dict)
-
-    def add(self, v: Vertex, tag: str) -> None:
-        self.by_abscissa.setdefault(v.i, []).append((v, tag))
 
     def check_alternation(self, r: int, mark: Vertex) -> None:
         for i, entries in self.by_abscissa.items():
@@ -98,6 +105,74 @@ def _functional_cycles(arcs: dict[Vertex, Vertex]) -> list[list[Vertex]]:
     return cycles
 
 
+def _cut_spine(f: SFunction) -> dict[Vertex, Vertex]:
+    """The arcs of f without the spine arcs i^1 -> f(i^1), i != 0."""
+    arcs = dict(f.image)
+    for i in f.profile.abscissas():
+        if i != 0:
+            del arcs[Vertex(i, 1)]
+    return arcs
+
+
+def _cycles_by_abscissa(cycles: list[list[Vertex]]) -> dict[int, list[list[Vertex]]]:
+    """Cycles indexed by the abscissa of their source (smallest vertex)."""
+    at: dict[int, list[list[Vertex]]] = {}
+    for cyc in cycles:
+        at.setdefault(cyc[0].i, []).append(cyc)
+    return at
+
+
+def _left_concatenations(arcs: dict[Vertex, Vertex],
+                         cycles_at: dict[int, list[list[Vertex]]],
+                         lo: int, hi: int, step_set: StepSet
+                         ) -> dict[int, list[Piece]]:
+    """The left concatenations L(i), lo <= i <= hi, built in `arcs`: cut the
+    arc entering each cycle source at abscissa i, order the pieces by
+    decreasing source and chain them; then chain i^1 -> a_{i-1}, the entry
+    (first source) of L(i-1)."""
+    concat: dict[int, list[Piece]] = {}
+    for i in range(lo, hi + 1):
+        pieces = [Piece(Vertex(i, 1), Vertex(i, 1), (Vertex(i, 1),))]
+        for cyc in cycles_at.get(i, ()):
+            del arcs[cyc[-1]]  # the arc entering the source
+            piece = Piece(cyc[0], cyc[-1], tuple(cyc))
+            piece.check_shape(step_set)
+            pieces.append(piece)
+        pieces.sort(key=lambda pc: pc.source, reverse=True)
+        for left, right in zip(pieces, pieces[1:]):
+            arcs[left.sink] = right.source
+        if i > lo:
+            arcs[Vertex(i, 1)] = concat[i - 1][0].source
+        concat[i] = pieces
+    return concat
+
+
+def _right_concatenations(arcs: dict[Vertex, Vertex],
+                          cycles_at: dict[int, list[list[Vertex]]],
+                          lo: int, hi: int, exclude: Vertex | None = None
+                          ) -> dict[int, list[Piece]]:
+    """The right concatenations R(i), lo <= i <= hi, built in `arcs`: cut
+    the arc leaving each cycle source at abscissa i (except a cycle whose
+    source is `exclude`), order the pieces by increasing sink (the old
+    sources) and chain them from i^1; then chain b_{i-1} -> i^1, where the
+    root b_{i-1} is the last sink of R(i-1)."""
+    concat: dict[int, list[Piece]] = {}
+    for i in range(lo, hi + 1):
+        pieces = [Piece(Vertex(i, 1), Vertex(i, 1), (Vertex(i, 1),))]
+        for cyc in cycles_at.get(i, ()):
+            if cyc[0] != exclude:
+                del arcs[cyc[0]]  # the arc leaving the source
+                path = tuple(cyc[1:] + cyc[:1])
+                pieces.append(Piece(path[0], cyc[0], path))
+        pieces.sort(key=lambda pc: pc.sink)
+        for left, right in zip(pieces, pieces[1:]):
+            arcs[left.sink] = right.source
+        if i > lo:
+            arcs[concat[i - 1][-1].sink] = Vertex(i, 1)
+        concat[i] = pieces
+    return concat
+
+
 def phi1(f: SFunction) -> MarkedSTree:
     return _phi1_with_pieces(f)[0]
 
@@ -108,25 +183,11 @@ def _phi1_with_pieces(f: SFunction) -> tuple[MarkedSTree, list[Piece]]:
         raise PreconditionViolated("phi1 needs a non-negative profile")
     if not satisfies_condition_f(f):
         raise PreconditionViolated("phi1 needs condition (F)")
-    p = f.profile
-    arcs = dict(f.image)
-
-    pieces: list[Piece] = []
-    for i in range(0, p.r + 1):
-        # spine piece: single-vertex path at i^1 (its out-arc is cut below)
-        pieces.append(Piece(Vertex(i, 1), Vertex(i, 1), (Vertex(i, 1),)))
-    for i in range(1, p.r + 1):
-        del arcs[Vertex(i, 1)]
-    for cyc in _functional_cycles(arcs):
-        source, sink = cyc[0], cyc[-1]
-        del arcs[sink]  # the arc entering the source
-        piece = Piece(source, sink, tuple(cyc))
-        piece.check_shape(f.step_set)
-        pieces.append(piece)
-
-    pieces.sort(key=lambda piece: piece.source, reverse=True)
-    for left, right in zip(pieces, pieces[1:]):
-        arcs[left.sink] = right.source
+    r = f.profile.r
+    arcs = _cut_spine(f)
+    left = _left_concatenations(arcs, _cycles_by_abscissa(_functional_cycles(arcs)),
+                                0, r, f.step_set)
+    pieces = [pc for i in range(r, -1, -1) for pc in left[i]]
     assert pieces[-1].source == Vertex(0, 1)
     tree = MarkedSTree(f.vertex_set, f.step_set, arcs, root=Vertex(0, 1),
                        mark=pieces[0].source)
@@ -134,15 +195,20 @@ def _phi1_with_pieces(f: SFunction) -> tuple[MarkedSTree, list[Piece]]:
     return tree, pieces
 
 
-def _records_forward(path: list[Vertex]) -> list[Vertex]:
-    """The lower records of a path: each vertex smaller than all before it."""
-    records = []
-    best = None
-    for v in path:
-        if best is None or v < best:
-            records.append(v)
-            best = v
-    return records
+def _record_pieces(segment: list[Vertex]) -> list[tuple[Vertex, Vertex]]:
+    """Split a path at its lower records: (record, end) per piece, where end
+    is the vertex before the next record (or the path's last vertex).  A
+    spine record i^1 must be a piece by itself."""
+    pieces: list[list[Vertex]] = []
+    for v in segment:
+        if pieces and v > pieces[-1][0]:
+            pieces[-1][1] = v
+        else:
+            pieces.append([v, v])
+    for record, end in pieces:
+        if record.k == 1 and end != record:
+            raise ConditionViolated(f"spine piece at {record} is not a single vertex")
+    return [(record, end) for record, end in pieces]
 
 
 def _close_marked_segment(arcs: dict[Vertex, Vertex], segment: list[Vertex],
@@ -150,21 +216,13 @@ def _close_marked_segment(arcs: dict[Vertex, Vertex], segment: list[Vertex],
     """Undo a chained left concatenation along `segment` (from the mark down
     to `bottom`^1): split at the lower records, close cycles, restore the
     spine arcs i^1 -> (i-1)^1 for i > bottom."""
-    records = _records_forward(segment)
-    pos = {v: j for j, v in enumerate(segment)}
-    for idx, src in enumerate(records):
-        sink = (segment[pos[records[idx + 1]] - 1]
-                if idx + 1 < len(records) else segment[-1])
-        if src.k == 1:
-            if sink != src:
-                raise ConditionViolated(
-                    f"spine piece at {src} is not a single vertex")
-            if src.i > bottom:
-                arcs[src] = Vertex(src.i - 1, 1)
-            elif src in arcs:
-                del arcs[src]
-        else:
+    for src, sink in _record_pieces(segment):
+        if src.k != 1:
             arcs[sink] = src
+        elif src.i > bottom:
+            arcs[src] = Vertex(src.i - 1, 1)
+        else:
+            arcs.pop(src, None)
 
 
 def phi1_inverse(tree: MarkedSTree) -> SFunction:
@@ -183,30 +241,36 @@ def phi1_inverse(tree: MarkedSTree) -> SFunction:
     return f
 
 
-def _frustrated_by_abscissa(f: SFunction, tree: MarkedSTree,
-                            skip: set[Vertex] | None = None
-                            ) -> FrustrationRecord:
-    """Vertices whose in-type differs between f and the tree, grouped by
-    abscissa in marked-path order; they are always path lower records."""
-    skip = skip or set()
-    f_pre: dict[Vertex, list[int]] = {}
-    for v, w in f.image.items():
-        f_pre.setdefault(w, []).append(v.i)
-    t_pre: dict[Vertex, list[int]] = {}
-    for v, w in tree.parent.items():
-        t_pre.setdefault(w, []).append(v.i)
-    record = FrustrationRecord()
-    path = tree.path_to_root(tree.mark)
-    sources = set(_records_forward(path))
-    for v in path:
-        if v in skip:
-            continue
-        fin = sorted(f_pre.get(v, []))
-        tin = sorted(t_pre.get(v, []))
-        if fin != tin:
-            assert v in sources, f"frustrated vertex {v} is not a lower record"
-            record.add(v, _frustration_tag(v, fin, tin))
-    return record
+def _preimages(arcs: dict[Vertex, Vertex]) -> dict[Vertex, list[int]]:
+    """The abscissas of each vertex's preimages, in arc order."""
+    pre: dict[Vertex, list[int]] = {}
+    for v, w in arcs.items():
+        pre.setdefault(w, []).append(v.i)
+    return pre
+
+
+def _frustrated(f_pre: dict[Vertex, list[int]], t_pre: dict[Vertex, list[int]],
+                segment: list[Vertex], skip: frozenset | set = frozenset()
+                ) -> dict[int, list[Vertex]]:
+    """The vertices of a marked-path segment whose in-type differs between
+    the function (preimages f_pre) and the tree (t_pre), grouped by abscissa
+    in path order; they are always lower records of the segment."""
+    records = {record for record, _end in _record_pieces(segment)}
+    frustrated: dict[int, list[Vertex]] = {}
+    for v in segment:
+        if v not in skip and sorted(f_pre.get(v, ())) != sorted(t_pre.get(v, ())):
+            assert v in records, f"frustrated vertex {v} is not a lower record"
+            frustrated.setdefault(v.i, []).append(v)
+    return frustrated
+
+
+def _consecutive_pairs(frustrated: dict[int, list[Vertex]]) -> list[tuple[Vertex, Vertex]]:
+    """Pair the frustrated records of each abscissa in path order."""
+    pairs = []
+    for _i, verts in sorted(frustrated.items()):
+        assert len(verts) % 2 == 0, "frustrated records must pair up"
+        pairs.extend(zip(verts[0::2], verts[1::2]))
+    return pairs
 
 
 def _frustration_tag(v: Vertex, fin: list[int], tin: list[int]) -> str:
@@ -265,16 +329,17 @@ def _phi2_with_record(tree: MarkedSTree, f: SFunction | None = None
         raise ConditionTViolated("tree violates condition (T)")
     if f is None:
         f = phi1_inverse(tree)
-    record = _frustrated_by_abscissa(f, tree)
+    f_pre, t_pre = _preimages(f.image), _preimages(tree.parent)
+    path = tree.path_to_root(tree.mark)
+    frustrated = _frustrated(f_pre, t_pre, path)
+    record = FrustrationRecord({
+        i: [(v, _frustration_tag(v, f_pre.get(v, []), t_pre.get(v, []))) for v in verts]
+        for i, verts in frustrated.items()})
     record.check_alternation(tree.profile.r, tree.mark)
     if 0 not in tree.step_set:
         assert not record.by_abscissa, "no frustration can occur when 0 not in S"
         return tree, record
-    pairs = []
-    for _i, entries in sorted(record.by_abscissa.items()):
-        verts = [v for v, _tag in entries]
-        pairs.extend(zip(verts[0::2], verts[1::2]))
-    out = _swap_hanging_subtrees(tree, pairs, [tree.path_to_root(tree.mark)])
+    out = _swap_hanging_subtrees(tree, _consecutive_pairs(frustrated), [path])
     return out, record
 
 
@@ -300,16 +365,11 @@ def phi_with_trace(f: SFunction) -> tuple[MarkedSTree, dict]:
         assert d_in.in_key() == d_out.in_key(), "phi must preserve the in-type census"
     trace = {
         "regime": "nonneg",
-        "mark": [t1.mark.i, t1.mark.k],
-        "pieces": [
-            {"source": [pc.source.i, pc.source.k],
-             "sink": [pc.sink.i, pc.sink.k],
-             "path": [[v.i, v.k] for v in pc.path]}
-            for pc in pieces
-        ],
-        "concatenation": [[pc.source.i, pc.source.k] for pc in pieces],
+        "mark": list(t1.mark),
+        "pieces": [pc.to_json() for pc in pieces],
+        "concatenation": [list(pc.source) for pc in pieces],
         "frustration": {
-            str(i): [{"vertex": [v.i, v.k], "tag": tag} for v, tag in entries]
+            str(i): [{"vertex": list(v), "tag": tag} for v, tag in entries]
             for i, entries in sorted(record.by_abscissa.items())
         },
     }

@@ -1057,13 +1057,6 @@ def sary_to_json(t: SAryTree) -> str:
     return canonical_json(encoded[id(t)])
 
 
-def _int_or_none(text: str) -> int | None:
-    try:
-        return int(text)
-    except ValueError:
-        return None
-
-
 def _sary_json_children(node) -> list:
     if not (isinstance(node, dict) and isinstance(node.get("children"), dict)):
         raise PreconditionViolated("an S-ary JSON node must be an object "
@@ -1072,9 +1065,9 @@ def _sary_json_children(node) -> list:
 
 
 def sary_from_json(text: str) -> SAryTree:
-    """Decode sary_to_json text.  Every node needs an int abscissa and
-    canonical integer step keys, and each child must sit at its parent's
-    abscissa plus its step; the height cap is checked before the rest."""
+    """Decode sary_to_json text.  Every node needs an int abscissa, and each
+    child's key must be the canonical text of its step (its abscissa minus
+    its parent's); the height cap is checked before the rest."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -1087,11 +1080,11 @@ def sary_from_json(text: str) -> SAryTree:
             raise PreconditionViolated(f"S-ary JSON abscissa {a!r} is not an int")
         children = []
         for key, c in node["children"].items():
-            step = _int_or_none(key)
-            if step is None or str(step) != key or built[id(c)].abscissa != a + step:
+            child = built[id(c)]
+            if key != str(child.abscissa - a):  # canonical, and at its step
                 raise PreconditionViolated(
                     f"S-ary JSON child {key!r} of a node at {a} is not at its step")
-            children.append((step, built[id(c)]))
+            children.append((child.abscissa - a, child))
         built[id(node)] = SAryTree(a, tuple(sorted(children)))
     return built[id(data)]
 

@@ -276,19 +276,13 @@ def _rooted_cayley_trees(n: int, budget: EnumerationBudget,
         yield root, dict(pairs)
 
 
-def enumerate_embedded_cayley(step_set: StepSet | LooseStepSet | Iterable[int],
-                              profile: Profile,
-                              budget: EnumerationBudget | None = None,
-                              ) -> Iterator[EmbeddedCayleyTree]:
-    """All S-embedded Cayley trees with the given profile: every rooted
-    labeled tree crossed with every consistent abscissa assignment, pruned on
-    partial profiles."""
-    step_set = _coerce_steps(step_set)
-    budget = _budget(budget)
-    budget.check_size(profile.n)
-    n = profile.n
-    target = {i: profile.count(i) for i in profile.abscissas()}
-    steps = sorted(step_set)
+def _placements(n: int, root_place: int, moves: dict[int, list[int]],
+                counts: dict[int, int], budget: EnumerationBudget
+                ) -> Iterator[tuple[int, dict[int, int], dict[int, int]]]:
+    """(root, parent, place) for every rooted Cayley tree on 1..n and every
+    placement of its vertices with the root at root_place, each child at one
+    of moves[its parent's place], and counts[q] vertices at each place q.
+    Vertices are placed in DFS order, pruned on the counts left."""
     for root, parent in _rooted_cayley_trees(n, budget):
         children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
         for v in sorted(parent):
@@ -299,32 +293,47 @@ def enumerate_embedded_cayley(step_set: StepSet | LooseStepSet | Iterable[int],
             v = stack.pop()
             order.append(v)
             stack.extend(reversed(children[v]))
-        abscissa = {root: 0}
-        remaining = dict(target)
-        if remaining.get(0, 0) < 1:
+        place = {root: root_place}
+        remaining = dict(counts)
+        if remaining.get(root_place, 0) < 1:
             continue
-        remaining[0] -= 1
+        remaining[root_place] -= 1
 
         def assign(idx: int) -> Iterator[dict[int, int]]:
             budget.charge()
             if idx == len(order):
                 if all(c == 0 for c in remaining.values()):
-                    yield dict(abscissa)
+                    yield dict(place)
                 return
             v = order[idx]
-            base = abscissa[parent[v]]
-            for s in steps:
-                a = base + s
-                if remaining.get(a, 0) > 0:
-                    remaining[a] -= 1
-                    abscissa[v] = a
+            for q in moves[place[parent[v]]]:
+                if remaining.get(q, 0) > 0:
+                    remaining[q] -= 1
+                    place[v] = q
                     yield from assign(idx + 1)
-                    del abscissa[v]
-                    remaining[a] += 1
+                    del place[v]
+                    remaining[q] += 1
 
         for full in assign(1):
-            yield EmbeddedCayleyTree(n, root, parent, full, step_set,
-                                     validate=False)
+            yield root, parent, full
+
+
+def enumerate_embedded_cayley(step_set: StepSet | LooseStepSet | Iterable[int],
+                              profile: Profile,
+                              budget: EnumerationBudget | None = None,
+                              ) -> Iterator[EmbeddedCayleyTree]:
+    """All S-embedded Cayley trees with the given profile: every rooted
+    labeled tree crossed with every consistent abscissa assignment, pruned on
+    partial profiles."""
+    step_set = _coerce_steps(step_set)
+    budget = _budget(budget)
+    budget.check_size(profile.n)
+    steps = sorted(step_set)
+    moves = {i: [i + s for s in steps] for i in profile.abscissas()}
+    counts = {i: profile.count(i) for i in profile.abscissas()}
+    for root, parent, abscissa in _placements(profile.n, 0, moves, counts, budget):
+        yield EmbeddedCayleyTree(profile.n, root, parent, abscissa, step_set,
+                                 validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -690,43 +699,10 @@ def enumerate_target_embeddings(target, budget: EnumerationBudget | None = None
     root-preserving morphism to the target tree (brute force for the
     tree-in-tree formula).  Single-node targets are self-adjacent."""
     budget = _budget(budget)
-    n = target.n
-    budget.check_size(n)
-    adj = target.adjacency()
-    counts = dict(target.counts)
-    for root, parent in _rooted_cayley_trees(n, budget):
-        children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        for v in sorted(parent):
-            children[parent[v]].append(v)
-        order = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(children[v]))
-        place = {root: target.root}
-        remaining = dict(counts)
-        remaining[target.root] -= 1
-        if remaining[target.root] < 0:
-            continue
-
-        def assign(idx: int) -> Iterator[dict[int, int]]:
-            budget.charge()
-            if idx == len(order):
-                if all(c == 0 for c in remaining.values()):
-                    yield dict(place)
-                return
-            v = order[idx]
-            for node in adj[place[parent[v]]]:
-                if remaining.get(node, 0) > 0:
-                    remaining[node] -= 1
-                    place[v] = node
-                    yield from assign(idx + 1)
-                    del place[v]
-                    remaining[node] += 1
-
-        for full in assign(1):
-            yield root, dict(parent), full
+    budget.check_size(target.n)
+    for root, parent, place in _placements(target.n, target.root, target.adjacency(),
+                                           dict(target.counts), budget):
+        yield root, dict(parent), place
 
 
 def count_tree_in_tree_oracle(target, budget: EnumerationBudget | None = None
