@@ -145,8 +145,8 @@ class _Assembly:
     case: str
     tree: MarkedSTree
     v0: Vertex
-    pieces: dict[str, list[Piece]] = field(default_factory=dict)
-    special: dict[str, Vertex] = field(default_factory=dict)
+    pieces: dict[str, list[Piece]]
+    special: dict[str, Vertex]
 
 
 def _psi1(f: SFunction) -> _Assembly:

@@ -17,7 +17,7 @@ finding the frustrated records whose hanging subtrees are swapped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     ConditionTViolated,
@@ -69,7 +69,7 @@ class FrustrationRecord:
     low and ending high; at the top abscissa only the mark and r^1 can be
     frustrated."""
 
-    by_abscissa: dict[int, list[tuple[Vertex, str]]] = field(default_factory=dict)
+    by_abscissa: dict[int, list[tuple[Vertex, str]]]
 
     def check_alternation(self, r: int, mark: Vertex) -> None:
         for i, entries in self.by_abscissa.items():

@@ -534,10 +534,3 @@ class TestSerialization:
     def test_sary_from_json_rejects_malformed_text(self, kind):
         with pytest.raises(PreconditionViolated):
             sary_from_json(self.MALFORMED_SARY[kind])
-
-    def test_sary_from_json_accepts_negative_and_zero_steps(self):
-        text = ('{"abscissa":0,"children":{"-1":{"abscissa":-1,"children":'
-                '{"0":{"abscissa":-1,"children":{}}}},"1":{"abscissa":1,'
-                '"children":{}}}}')
-        tree = sary_from_json(text)
-        assert sary_to_json(tree) == text and tree.size() == 4
