@@ -195,8 +195,8 @@ def _phi1_with_pieces(f: SFunction) -> tuple[MarkedSTree, list[Piece]]:
     return tree, pieces
 
 
-def _record_pieces(segment: list[Vertex]) -> list[tuple[Vertex, Vertex]]:
-    """Split a path at its lower records: (record, end) per piece, where end
+def _record_pieces(segment: list[Vertex]) -> list[list[Vertex]]:
+    """Split a path at its lower records: [record, end] per piece, where end
     is the vertex before the next record (or the path's last vertex).  A
     spine record i^1 must be a piece by itself."""
     pieces: list[list[Vertex]] = []
@@ -208,7 +208,7 @@ def _record_pieces(segment: list[Vertex]) -> list[tuple[Vertex, Vertex]]:
     for record, end in pieces:
         if record.k == 1 and end != record:
             raise ConditionViolated(f"spine piece at {record} is not a single vertex")
-    return [(record, end) for record, end in pieces]
+    return pieces
 
 
 def _close_marked_segment(arcs: dict[Vertex, Vertex], segment: list[Vertex],
@@ -255,11 +255,14 @@ def _frustrated(f_pre: dict[Vertex, list[int]], t_pre: dict[Vertex, list[int]],
     """The vertices of a marked-path segment whose in-type differs between
     the function (preimages f_pre) and the tree (t_pre), grouped by abscissa
     in path order; they are always lower records of the segment."""
-    records = {record for record, _end in _record_pieces(segment)}
     frustrated: dict[int, list[Vertex]] = {}
+    low = None
     for v in segment:
+        record = low is None or v < low
+        if record:
+            low = v
         if v not in skip and sorted(f_pre.get(v, ())) != sorted(t_pre.get(v, ())):
-            assert v in records, f"frustrated vertex {v} is not a lower record"
+            assert record, f"frustrated vertex {v} is not a lower record"
             frustrated.setdefault(v.i, []).append(v)
     return frustrated
 
