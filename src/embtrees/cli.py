@@ -25,6 +25,8 @@ from .core import (
     InvalidProfile,
     Profile,
     StepSet,
+    _marked_stree_of,
+    _sfunction_of,
     canonical_json,
     embedded_cayley_to_json,
     marked_stree_from_json,
@@ -33,6 +35,7 @@ from .core import (
     sfunction_from_json,
     sfunction_to_json,
     type_distribution_of,
+    type_distribution_to_json,
 )
 
 PARSE_ERRORS = (HypothesisViolation, InvalidProfile, IncompatibleDistribution)
@@ -253,32 +256,21 @@ def cmd_bijection(args) -> int:
     text = sys.stdin.read() if args.input == "-" else open(args.input).read()
     if args.direction == "forward":
         f = _parsed(sfunction_from_json, text, InvalidProfile)
-        if f.profile.ell == 0:
-            tree, trace = phi_with_trace(f)
-        else:
-            tree, trace = psi_with_trace(f)
+        tree, trace = (phi_with_trace if f.profile.ell == 0 else psi_with_trace)(f)
         trace["output"] = json.loads(marked_stree_to_json(tree))
         print(canonical_json(trace))
     else:
         tree = _parsed(marked_stree_from_json, text, InvalidProfile)
-        if tree.profile.ell == 0:
-            f = phi_inverse(tree)
-        else:
-            f = psi_inverse(tree)
-        print(sfunction_to_json(f))
+        print(sfunction_to_json((phi_inverse if tree.profile.ell == 0 else psi_inverse)(tree)))
     return 0
 
 
 def cmd_types(args) -> int:
     text = sys.stdin.read() if args.input == "-" else open(args.input).read()
     data = _parsed(json.loads, text, InvalidProfile)
-    if "image" in data:
-        obj = _parsed(sfunction_from_json, text, InvalidProfile)
-    else:
-        obj = _parsed(marked_stree_from_json, text, InvalidProfile)
-    dist = type_distribution_of(obj)
-    from .core import type_distribution_to_json
-    print(type_distribution_to_json(dist))
+    decode = _sfunction_of if isinstance(data, dict) and "image" in data else _marked_stree_of
+    obj = _parsed(lambda _text: decode(data), text, InvalidProfile)
+    print(type_distribution_to_json(type_distribution_of(obj)))
     return 0
 
 

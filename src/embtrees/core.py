@@ -14,6 +14,7 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -166,6 +167,13 @@ class Profile:
     def items(self) -> Iterator[tuple[int, int]]:
         for i in self.abscissas():
             yield i, self.count(i)
+
+    @staticmethod
+    def of_counts(counts: Mapping[int, int]) -> "Profile":
+        """The profile with n_i = counts[i] from the least to the greatest
+        key; an abscissa missing in between raises InvalidProfile."""
+        lo, hi = min(counts), max(counts)
+        return Profile([counts.get(i, 0) for i in range(lo, hi + 1)], ell=lo)
 
     @staticmethod
     def parse(text: str) -> "Profile":
@@ -374,8 +382,7 @@ class MarkedSTree:
     towards the root, so the parent of a vertex of V_i lies in some V_{i-s}.
     """
 
-    __slots__ = ("vertex_set", "step_set", "parent", "root", "mark",
-                 "_children", "_hash")
+    __slots__ = ("vertex_set", "step_set", "parent", "root", "mark", "_hash")
 
     def __init__(self, vertex_set: VertexSet, step_set: StepSet,
                  parent: dict[Vertex, Vertex], root: Vertex, mark: Vertex,
@@ -385,7 +392,6 @@ class MarkedSTree:
         self.parent = dict(parent)
         self.root = root
         self.mark = mark
-        self._children = None
         self._hash = None
         if validate:
             self._validate()
@@ -412,14 +418,6 @@ class MarkedSTree:
     @property
     def profile(self) -> Profile:
         return self.vertex_set.profile
-
-    def children(self) -> dict[Vertex, list[Vertex]]:
-        if self._children is None:
-            ch: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertex_set.vertices()}
-            for v in sorted(self.parent):
-                ch[self.parent[v]].append(v)
-            self._children = ch
-        return self._children
 
     def path_to_root(self, v: Vertex) -> list[Vertex]:
         """Vertices from v to the root, inclusive."""
@@ -582,22 +580,7 @@ class EmbeddedCayleyTree:
                 raise PreconditionViolated(f"edge {v} -> {w} has step outside S")
 
     def profile(self) -> Profile:
-        lo = min(self.abscissa.values())
-        hi = max(self.abscissa.values())
-        counts = [0] * (hi - lo + 1)
-        for a in self.abscissa.values():
-            counts[a - lo] += 1
-        return Profile(counts, ell=lo)
-
-    def is_injective(self) -> bool:
-        """No two vertices at the same abscissa share a parent."""
-        seen = set()
-        for v, w in self.parent.items():
-            key = (w, self.abscissa[v])
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        return Profile.of_counts(Counter(self.abscissa.values()))
 
     def _key(self):
         return (self.n, self.root, tuple(sorted(self.parent.items())),
@@ -662,11 +645,7 @@ class SAryTree:
         return sum(1 for _ in self.nodes())
 
     def profile(self) -> Profile:
-        counts: dict[int, int] = {}
-        for node in self.nodes():
-            counts[node.abscissa] = counts.get(node.abscissa, 0) + 1
-        lo, hi = min(counts), max(counts)
-        return Profile([counts.get(i, 0) for i in range(lo, hi + 1)], ell=lo)
+        return Profile.of_counts(Counter(node.abscissa for node in self.nodes()))
 
 
 def shape_key(tree: EmbeddedCayleyTree) -> tuple:
@@ -707,68 +686,93 @@ def equivalent(t1: EmbeddedCayleyTree, t2: EmbeddedCayleyTree) -> bool:
     return shape_key(t1) == shape_key(t2)
 
 
+# ---------------------------------------------------------------------------
+# the type census
+# ---------------------------------------------------------------------------
+
+CVec = tuple[int, ...]
+
+
+def _arcs(obj: "SFunction | MarkedSTree | EmbeddedCayleyTree | SAryTree"):
+    """(vertices, abscissa, parent, root) of a function or tree: the one
+    place that knows how each kind stores its arcs.  The root of an
+    S-function is 0^1, and S-ary nodes are numbered 0, 1, ... from the root."""
+    if isinstance(obj, SAryTree):
+        absc, parent, stack = {0: obj.abscissa}, {}, [(obj, 0)]
+        while stack:
+            node, vid = stack.pop()
+            for _s, child in node.children:
+                cid = len(absc)
+                absc[cid], parent[cid] = child.abscissa, vid
+                stack.append((child, cid))
+        return range(len(absc)), absc, parent, 0
+    if isinstance(obj, EmbeddedCayleyTree):
+        return range(1, obj.n + 1), obj.abscissa, obj.parent, obj.root
+    verts = obj.vertex_set.vertices()
+    absc = {v: v.i for v in verts}
+    if isinstance(obj, SFunction):
+        return verts, absc, obj.image, Vertex(0, 1)
+    return verts, absc, obj.parent, obj.root
+
+
+def _cvecs(vertices, abscissa, parent, m: int) -> dict:
+    """The dense c-vector of every vertex: its children (pre-images, in a
+    function) counted by step s at index s - m, for the steps m..1."""
+    zeros = [0] * (2 - m)
+    cvecs = {v: zeros.copy() for v in vertices}
+    for v, w in parent.items():
+        s = abscissa[v] - abscissa[w]
+        assert m <= s <= 1, f"step {s} outside [{m}, 1]"
+        cvecs[w][s - m] += 1
+    return cvecs
+
+
+def _children(in_types: Iterable, m: int) -> dict[tuple[int, int], int]:
+    """n(i,s) = sum_c c^s n(i-s,c): the vertices of out-type (i;s) that the
+    in-type counts ((i, c), n(i,c)) give a parent."""
+    out: dict[tuple[int, int], int] = {}
+    for (j, cv), c in in_types:
+        for idx, b in enumerate(cv):
+            if b and c:
+                key = (j + m + idx, m + idx)
+                out[key] = out.get(key, 0) + b * c
+    return out
+
+
+def is_injective(obj: "SFunction | MarkedSTree | EmbeddedCayleyTree") -> bool:
+    """No two children (pre-images, in a function) of a vertex share a step."""
+    _verts, absc, parent, _root = _arcs(obj)
+    return len({(w, absc[v]) for v, w in parent.items()}) == len(parent)
+
+
 def vertex_type(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction", v,
                 m: int | None = None) -> tuple[int, object, CVec]:
     """The complete type (i; s; c) of one vertex; s is the EPS sentinel for
     the root (or for 0^1 in a function)."""
-    if m is None:
-        m = obj.step_set.m
-    if isinstance(obj, SFunction):
-        parent, absc, root = obj.image, {u: u.i for u in obj.vertex_set.vertices()}, Vertex(0, 1)
-        verts = list(obj.vertex_set.vertices())
-    elif isinstance(obj, MarkedSTree):
-        parent, absc, root = obj.parent, {u: u.i for u in obj.vertex_set.vertices()}, obj.root
-        verts = list(obj.vertex_set.vertices())
-    else:
-        parent, absc, root = obj.parent, obj.abscissa, obj.root
-        verts = list(range(1, obj.n + 1))
-    cvec = [0] * (1 - m + 1)
-    for u, w in parent.items():
-        if w == v:
-            cvec[absc[u] - absc[v] - m] += 1
-    assert v in verts
+    verts, absc, parent, root = _arcs(obj)
+    cvec = _cvecs(verts, absc, parent, obj.step_set.m if m is None else m)[v]
     s = EPS if v == root else absc[v] - absc[parent[v]]
     return absc[v], s, tuple(cvec)
 
 
 def sary_from_injective(tree: MarkedSTree | EmbeddedCayleyTree) -> SAryTree:
-    """Canonical S-ary shape of an injective tree (names dropped)."""
-    if isinstance(tree, MarkedSTree):
-        root = tree.root
-        children = tree.children()
-        absc = lambda v: v.i
-    else:
-        if not tree.is_injective():
-            raise NotInjective("tree is not injective")
-        root = tree.root
-        ch: dict[int, list[int]] = {v: [] for v in range(1, tree.n + 1)}
-        for v, w in tree.parent.items():
-            ch[w].append(v)
-        children = ch
-        absc = lambda v: tree.abscissa[v]
-
+    """Canonical S-ary shape of an injective tree (names dropped); raises
+    NotInjective if two children of a vertex share a step."""
+    verts, absc, parent, root = _arcs(tree)
+    children: dict = {v: [] for v in verts}
+    for v, w in parent.items():
+        children[w].append(v)
     order = [root]
     for v in order:  # breadth first, so every child comes after its parent
         order.extend(children[v])
     built: dict = {}
     for v in reversed(order):
-        kids = []
-        seen_steps = set()
-        for c in children[v]:
-            s = absc(c) - absc(v)
-            if s in seen_steps:
-                raise NotInjective(f"two children of {v} at step {s}")
-            seen_steps.add(s)
-            kids.append((s, built.pop(c)))
-        built[v] = SAryTree(absc(v), tuple(sorted(kids)))
+        steps = [absc[c] - absc[v] for c in children[v]]
+        if len(set(steps)) < len(steps):
+            raise NotInjective(f"two children of {v} share a step")
+        kids = sorted(zip(steps, (built.pop(c) for c in children[v])))
+        built[v] = SAryTree(absc[v], tuple(kids))
     return built[root]
-
-
-# ---------------------------------------------------------------------------
-# type distributions
-# ---------------------------------------------------------------------------
-
-CVec = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -811,16 +815,13 @@ class TypeDistribution:
         counts: dict[int, int] = {0: 1}
         for (i, _s), c in self.out_counts:
             counts[i] = counts.get(i, 0) + c
-        lo, hi = min(counts), max(counts)
-        return Profile([counts.get(i, 0) for i in range(lo, hi + 1)], ell=lo)
+        return Profile.of_counts(counts)
 
 
 def _check_distribution(dist: TypeDistribution) -> None:
-    """Check the three compatibility identities of a census.
-
-    Each family first aggregates the table once into totals per abscissa or
-    per (i, s), then compares them, so the check costs O(r + |types|).
-    """
+    """Check the three compatibility identities of a census: each family sums
+    both sides per abscissa or per (i, s) and compares them wherever either
+    side is nonzero, so the check costs O(r + |types|)."""
     m = dist.m
     prof = dist.profile()
     out = dist.out
@@ -832,33 +833,24 @@ def _check_distribution(dist: TypeDistribution) -> None:
         if (1 if i == 0 else 0) + out_at.get(i, 0) != prof.count(i):
             raise IncompatibleDistribution(f"out counts at abscissa {i} do not match")
     # chi_{i=0} + sum_{s,c} c^s n(i-s, c) = sum_c n(i, c)
+    inn = dist.inn
     children_at: dict[int, int] = {0: 1}
+    for (i, _s), c in _children(inn.items(), m).items():
+        children_at[i] = children_at.get(i, 0) + c
     in_at: dict[int, int] = {}
-    for (j, cv), c in dist.inn.items():
-        in_at[j] = in_at.get(j, 0) + c
-        for s_idx, cs in enumerate(cv):
-            children_at[j + m + s_idx] = children_at.get(j + m + s_idx, 0) + cs * c
-    for i in range(prof.ell - 2, prof.r + 3):
+    for (i, _cv), c in inn.items():
+        in_at[i] = in_at.get(i, 0) + c
+    for i in sorted(children_at.keys() | in_at.keys()):
         if children_at.get(i, 0) != in_at.get(i, 0):
             raise IncompatibleDistribution(f"in counts at abscissa {i} do not match")
     # chi_{i=s} c_0^s + sum_{t,c} c^s n(i-s,t,c) = sum_c n(i,s,c)
-    c0 = dist.root_in_type
-    keys = set(out)
-    lhs: dict[tuple[int, int], int] = {}
+    in_types = [((0, dist.root_in_type), 1)]  # the root, at abscissa 0
     rhs: dict[tuple[int, int], int] = {}
-    for s_idx, cs in enumerate(c0):
-        lhs[(m + s_idx, m + s_idx)] = cs
-        if cs:
-            keys.add((m + s_idx, m + s_idx))
     for (j, t, cv), c in dist.complete.items():
-        keys.add((j, t))
+        in_types.append(((j, cv), c))
         rhs[(j, t)] = rhs.get((j, t), 0) + c
-        for s_idx, cs in enumerate(cv):
-            key = (j + m + s_idx, m + s_idx)
-            lhs[key] = lhs.get(key, 0) + cs * c
-            if cs:
-                keys.add(key)
-    for (i, s) in keys:
+    lhs = _children(in_types, m)
+    for (i, s) in lhs.keys() | rhs.keys():
         if lhs.get((i, s), 0) != rhs.get((i, s), 0):
             raise IncompatibleDistribution(f"complete counts at ({i},{s}) do not match")
 
@@ -873,56 +865,14 @@ def type_distribution_of(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction | SA
     embed into a wider interval.  check=False skips the compatibility-identity
     validation (bulk sweeps).
     """
-    if isinstance(obj, SAryTree):
-        if m is None:
-            raise ValueError("S-ary trees need an explicit m")
-        verts = []
-        absc = {}
-        parent = {}
-        stack: list[tuple[SAryTree, int | None]] = [(obj, None)]
-        while stack:
-            node, par_id = stack.pop()
-            vid = len(verts)
-            verts.append(vid)
-            absc[vid] = node.abscissa
-            if par_id is not None:
-                parent[vid] = par_id
-            stack.extend((child, vid) for _s, child in node.children)
-        root = 0
-        return _type_distribution_from(verts, absc, parent, root, m, check)
-    if m is None:
-        m = obj.step_set.m
-    if isinstance(obj, SFunction):
-        verts = obj.vertex_set.vertices()
-        absc = {v: v.i for v in verts}
-        parent = obj.image
-        root = Vertex(0, 1)
-    elif isinstance(obj, MarkedSTree):
-        verts = obj.vertex_set.vertices()
-        absc = {v: v.i for v in verts}
-        parent = obj.parent
-        root = obj.root
-    else:
-        verts = list(range(1, obj.n + 1))
-        absc = obj.abscissa
-        parent = obj.parent
-        root = obj.root
-    return _type_distribution_from(verts, absc, parent, root, m, check)
-
-
-def _type_distribution_from(verts, absc, parent, root, m: int,
-                            check: bool) -> TypeDistribution:
-    width = 1 - m + 1
-    cvecs = {v: [0] * width for v in verts}
-    for v, w in parent.items():
-        s = absc[v] - absc[w]
-        assert m <= s <= 1, f"step {s} outside [{m}, 1]"
-        cvecs[w][s - m] += 1
-
+    if m is None and isinstance(obj, SAryTree):
+        raise ValueError("S-ary trees need an explicit m")
+    m = obj.step_set.m if m is None else m
+    verts, absc, parent, root = _arcs(obj)
+    cvecs = _cvecs(verts, absc, parent, m)
     out: dict[tuple[int, int], int] = {}
     inn: dict[tuple[int, CVec], int] = {}
     comp: dict[tuple[int, int, CVec], int] = {}
-    root_cv = tuple(cvecs[root])
     for v in verts:
         i = absc[v]
         cv = tuple(cvecs[v])
@@ -937,7 +887,7 @@ def _type_distribution_from(verts, absc, parent, root, m: int,
         out_counts=tuple(sorted(out.items())),
         in_counts=tuple(sorted(inn.items())),
         complete_counts=tuple(sorted(comp.items())),
-        root_in_type=root_cv,
+        root_in_type=tuple(cvecs[root]),
     )
     if check:
         _check_distribution(dist)
@@ -978,12 +928,34 @@ def sfunction_to_json(f: SFunction) -> str:
     })
 
 
+def _shaped(data, shape, where: str = "JSON input") -> None:
+    """Raise ValueError unless decoded JSON has the given shape: a type for a
+    value of that type, [s] for a list of s, a tuple for a list of exactly
+    those shapes, a dict for an object with those keys (and maybe more)."""
+    if isinstance(shape, dict):
+        if not (isinstance(data, dict) and shape.keys() <= data.keys()):
+            raise ValueError(f"{where} must be an object with keys {', '.join(shape)}")
+        for key, sub in shape.items():
+            _shaped(data[key], sub, f"{where}.{key}")
+    elif isinstance(shape, (list, tuple)):
+        subs = shape * len(data) if isinstance(shape, list) and isinstance(data, list) else shape
+        if not (isinstance(data, list) and len(data) == len(subs)):
+            raise ValueError(f"{where} must be a list" + (
+                "" if isinstance(shape, list) else f" of {len(shape)}"))
+        for j, (item, sub) in enumerate(zip(data, subs)):
+            _shaped(item, sub, f"{where}[{j}]")
+    elif type(data) is not shape:
+        raise ValueError(f"{where} must be of type {shape.__name__}")
+
+
 def sfunction_from_json(text: str) -> SFunction:
-    data = json.loads(text)
-    profile = Profile.parse(data["profile"])
-    steps = StepSet(data["steps"])
+    return _sfunction_of(json.loads(text))
+
+
+def _sfunction_of(data) -> SFunction:
+    _shaped(data, {"profile": str, "steps": [int], "image": [(int,) * 4]})
     image = {Vertex(i, k): Vertex(j, p) for i, k, j, p in data["image"]}
-    return SFunction(VertexSet(profile), steps, image)
+    return SFunction(VertexSet(Profile.parse(data["profile"])), StepSet(data["steps"]), image)
 
 
 def marked_stree_to_json(t: MarkedSTree) -> str:
@@ -998,12 +970,15 @@ def marked_stree_to_json(t: MarkedSTree) -> str:
 
 
 def marked_stree_from_json(text: str) -> MarkedSTree:
-    data = json.loads(text)
-    profile = Profile.parse(data["profile"])
-    steps = StepSet(data["steps"])
+    return _marked_stree_of(json.loads(text))
+
+
+def _marked_stree_of(data) -> MarkedSTree:
+    _shaped(data, {"profile": str, "steps": [int], "root": (int, int),
+                   "mark": (int, int), "parent": [(int,) * 4]})
     parent = {Vertex(i, k): Vertex(j, p) for i, k, j, p in data["parent"]}
-    return MarkedSTree(VertexSet(profile), steps, parent,
-                       root=Vertex(*data["root"]), mark=Vertex(*data["mark"]))
+    return MarkedSTree(VertexSet(Profile.parse(data["profile"])), StepSet(data["steps"]),
+                       parent, root=Vertex(*data["root"]), mark=Vertex(*data["mark"]))
 
 
 def embedded_cayley_to_json(t: EmbeddedCayleyTree) -> str:
@@ -1020,9 +995,12 @@ def embedded_cayley_to_json(t: EmbeddedCayleyTree) -> str:
 
 def embedded_cayley_from_json(text: str) -> EmbeddedCayleyTree:
     data = json.loads(text)
+    _shaped(data, {"n": int, "root": int, "parent": [int], "abscissa": [int], "steps": [int]})
     n = data["n"]
-    parent = {v: p for v, p in zip(range(1, n + 1), data["parent"]) if p != 0}
-    abscissa = {v: a for v, a in zip(range(1, n + 1), data["abscissa"])}
+    if not len(data["parent"]) == len(data["abscissa"]) == n:
+        raise ValueError(f"parent and abscissa must list n = {n} labels each")
+    parent = {v: p for v, p in enumerate(data["parent"], 1) if p != 0}
+    abscissa = dict(enumerate(data["abscissa"], 1))
     return EmbeddedCayleyTree(n, data["root"], parent, abscissa,
                               StepSet(data["steps"]))
 

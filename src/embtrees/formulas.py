@@ -26,6 +26,7 @@ from .core import (
     Profile,
     StepSet,
     Vertex,
+    _children,
 )
 
 OutDist = Mapping[tuple[int, int], int]
@@ -241,7 +242,7 @@ def _profile_of_counts(counts: Mapping[int, int], what: str) -> Profile:
     lo, hi = min(counts), max(counts)
     if not (lo <= 0 <= hi) or any(counts.get(i, 0) == 0 for i in range(lo, hi + 1)):
         raise IncompatibleDistribution(f"{what} counts leave an empty abscissa")
-    return Profile([counts[i] for i in range(lo, hi + 1)], ell=lo)
+    return Profile.of_counts(counts)
 
 
 def profile_of_out_dist(out: OutDist) -> Profile:
@@ -271,18 +272,6 @@ def _check_out_dist(step_set: StepSet, out: OutDist) -> Profile:
     return prof
 
 
-def _children(inn: InDist, m: int) -> dict[tuple[int, int], int]:
-    """n(i,s) = sum_c c^s n(i-s,c): the vertices of out-type (i;s) that the
-    in-types give a parent."""
-    out: dict[tuple[int, int], int] = {}
-    for (j, cv), c in inn.items():
-        for idx, b in enumerate(cv):
-            if b and c:
-                key = (j + m + idx, m + idx)
-                out[key] = out.get(key, 0) + b * c
-    return out
-
-
 def _in_profile(inn: InDist, m: int) -> tuple[Profile, dict[tuple[int, int], int]]:
     """The profile of an in-distribution over the steps m..1 and the
     out-counts its in-types give; raises unless every abscissa i has
@@ -299,7 +288,7 @@ def _in_profile(inn: InDist, m: int) -> tuple[Profile, dict[tuple[int, int], int
     if not counts:
         raise IncompatibleDistribution("empty in-distribution")
     prof = _profile_of_counts(counts, "in")
-    children = _children(inn, m)
+    children = _children(inn.items(), m)
     if profile_of_out_dist(children) != prof:
         raise IncompatibleDistribution(
             "in-distribution incompatible: its in-types do not give every "
@@ -366,7 +355,7 @@ def _check_complete_dist(step_set: StepSet, root_in: CVec, comp: CompleteDist
     prof = profile_of_out_dist(out)
     if prof.r == 0 and (prof.n != 1 or any(root_in)):
         raise HypothesisViolation("r = 0 is supported only for the single-vertex tree")
-    _check_children(_children(inn, m), out, "complete distribution")
+    _check_children(_children(inn.items(), m), out, "complete distribution")
     return prof, out
 
 

@@ -23,10 +23,13 @@ from .core import (
     StepSet,
     Vertex,
     VertexSet,
+    _arcs,
+    _cvecs,
     condition_t,
     condition_t1,
     condition_t2,
     allowed_images,
+    is_injective,
     is_tree,
     embedded_cayley_to_json,
     marked_stree_to_json,
@@ -158,7 +161,7 @@ def enumerate_sfunctions(step_set: StepSet, profile: Profile, regime: str,
         image = dict(forced)
         image.update(zip(free, choice))
         f = SFunction(vset, step_set, image, validate=False)
-        if constraint == "injective" and not _injective_per_level(f):
+        if constraint == "injective" and not is_injective(f):
             continue
         if isinstance(constraint, tuple) and not _matches_constraint(f, constraint):
             continue
@@ -169,12 +172,11 @@ def _matches_constraint(f: SFunction, constraint: tuple) -> bool:
     kind, want = constraint
     if kind == "out_types":
         return all(f.image[v].i == v.i - s for v, s in want.items())
-    dist = type_distribution_of(f, check=False)
     if kind == "in_types":
-        inn = {v: [0] * (1 - dist.m + 1) for v in f.vertex_set.vertices()}
-        for v, w in f.image.items():
-            inn[w][v.i - w.i - dist.m] += 1
-        return all(tuple(inn[v]) == tuple(cv) for v, cv in want.items())
+        verts, absc, parent, _root = _arcs(f)
+        cvecs = _cvecs(verts, absc, parent, f.step_set.m)
+        return all(tuple(cvecs[v]) == tuple(cv) for v, cv in want.items())
+    dist = type_distribution_of(f, check=False)
     if kind == "out_counts":
         return dist.out_key() == tuple(sorted((k, c) for k, c in want.items() if c))
     if kind == "in_counts":
@@ -184,16 +186,6 @@ def _matches_constraint(f: SFunction, constraint: tuple) -> bool:
         return dist.complete_key() == (tuple(root_cv), tuple(
             sorted((k, c) for k, c in comp.items() if c)))
     raise ValueError(f"unknown constraint {kind!r}")
-
-
-def _injective_per_level(f: SFunction) -> bool:
-    seen = set()
-    for v, w in f.image.items():
-        key = (v.i, w)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
 
 
 # ---------------------------------------------------------------------------

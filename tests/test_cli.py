@@ -1,5 +1,6 @@
 """The command-line interface: outputs, exit codes, reproducibility."""
 
+import io
 import json
 import sys
 from fractions import Fraction
@@ -121,6 +122,36 @@ class TestErrorClasses:
         fn.write_text("{not json")
         code, _, err = run(capsys, "bijection", "forward", "--input", str(fn))
         assert code == 2 and "cannot parse" in err
+
+    @pytest.mark.parametrize("command", [("bijection", "forward"),
+                                         ("bijection", "inverse"), ("types",)],
+                             ids=" ".join)
+    @pytest.mark.parametrize("text", [
+        "{}",
+        "[1]",
+        '{"profile":2,"steps":[-1,1],"image":[]}',
+        '{"profile":"2,1","steps":[true,1],"image":[]}',
+        '{"profile":"2,1","steps":[-1,1],"image":[[0,2,1]]}',
+        '{"profile":"2,1","steps":[-1,1],"root":[0],"mark":[1,1],"parent":[]}',
+    ])
+    def test_malformed_json_shape_exits_two(self, capsys, monkeypatch, command, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, *command, "--input", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, text", [
+        (("bijection", "forward"), '{"profile":"2,1","steps":[-1,1],'
+                                   '"image":[[0,2,0,1],[1,1,0,1]]}'),
+        (("types",), '{"profile":"2,1","steps":[-1,1],'
+                     '"image":[[0,2,0,1],[1,1,0,1]]}'),
+        (("bijection", "inverse"), '{"profile":"2,1","steps":[-1,1],"root":[0,1],'
+                                   '"mark":[1,1],"parent":[[0,2,0,1],[1,1,0,1]]}'),
+    ])
+    def test_arc_outside_s_exits_one(self, capsys, monkeypatch, command, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run(capsys, *command, "--input", "-")
+        assert code == 1 and "not an S-edge" in err
 
     def test_internal_value_error_is_not_a_parse_error(self, monkeypatch):
         def broken(*_args):

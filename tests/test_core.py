@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from embtrees import (
+    EmbeddedCayleyTree,
     HypothesisViolation,
     IncompatibleDistribution,
     InvalidProfile,
@@ -17,6 +18,7 @@ from embtrees import (
     StepSet,
     Vertex,
     VertexSet,
+    is_injective,
     sample_embedded_cayley,
     sary_from_injective,
     satisfies_condition_f,
@@ -271,6 +273,18 @@ class TestCensusCheck:
         with pytest.raises(IncompatibleDistribution, match="complete counts at"):
             _check_distribution(bad)
 
+    def test_in_identity_below_the_profile(self):
+        # with min S = -3 an in-type can claim a child below ell - 2; the
+        # identity must hold at every abscissa that either side reaches
+        path = EmbeddedCayleyTree(4, 1, {2: 1, 3: 2, 4: 3}, {1: 0, 2: 1, 3: 2, 4: 3},
+                                  StepSet([-3, -1, 1]))
+        d = type_distribution_of(path)
+        assert d.profile() == Profile.parse("1,1,1,1")
+        bad = dataclasses.replace(d, in_counts=tuple(
+            ((i, (1, 0, 0, 0, 1) if i == 0 else cv), c) for (i, cv), c in d.in_counts))
+        with pytest.raises(IncompatibleDistribution, match="in counts at abscissa -3"):
+            _check_distribution(bad)
+
     def test_agrees_with_reference_on_perturbations(self):
         rng = random.Random(20261018)
         rejected = set()
@@ -311,7 +325,7 @@ class TestSAryEquivalence:
         import math
         S = StepSet([-1, 1])
         for p in profiles_up_to(5):
-            inj = [t for t in enumerate_embedded_cayley(S, p) if t.is_injective()]
+            inj = [t for t in enumerate_embedded_cayley(S, p) if is_injective(t)]
             shapes = {sary_to_json(sary_from_injective(t)) for t in inj}
             sary = list(enumerate_sary(S, p))
             assert len(shapes) == len(sary)
@@ -320,7 +334,7 @@ class TestSAryEquivalence:
     def test_non_injective_rejected(self):
         S = StepSet([-1, 1])
         for t in enumerate_embedded_cayley(S, Profile.parse("1,2")):
-            if not t.is_injective():
+            if not is_injective(t):
                 with pytest.raises(NotInjective):
                     sary_from_injective(t)
 
@@ -534,3 +548,20 @@ class TestSerialization:
     def test_sary_from_json_rejects_malformed_text(self, kind):
         with pytest.raises(PreconditionViolated):
             sary_from_json(self.MALFORMED_SARY[kind])
+
+    MALFORMED_CAYLEY = {
+        "parent and abscissa past n": '{"n":2,"root":1,"parent":[0,1,1],'
+                                      '"abscissa":[0,1,5],"steps":[-1,1]}',
+        "abscissa past n": '{"n":2,"root":1,"parent":[0,1],'
+                           '"abscissa":[0,1,5],"steps":[-1,1]}',
+        "lists short of n": '{"n":3,"root":1,"parent":[0,1],'
+                            '"abscissa":[0,1],"steps":[-1,1]}',
+        "empty object": '{}',
+        "array": '[1]',
+        "string parent": '{"n":1,"root":1,"parent":"0","abscissa":[0],"steps":[1]}',
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_CAYLEY))
+    def test_embedded_cayley_from_json_rejects_malformed_text(self, kind):
+        with pytest.raises(ValueError):
+            embedded_cayley_from_json(self.MALFORMED_CAYLEY[kind])

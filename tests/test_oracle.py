@@ -15,6 +15,7 @@ from embtrees import (
     enumerate_marked_strees,
     enumerate_sary,
     enumerate_sfunctions,
+    is_injective,
 )
 from embtrees.core import (
     embedded_cayley_to_json,
@@ -75,7 +76,7 @@ class TestCardinalities:
     def test_injective_quotient(self):
         for p in profiles_up_to(5):
             inj = sum(1 for t in enumerate_embedded_cayley(PM, p)
-                      if t.is_injective())
+                      if is_injective(t))
             sary = sum(1 for _ in enumerate_sary(PM, p))
             assert inj == math.factorial(p.n) * sary, str(p)
 

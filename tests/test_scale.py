@@ -14,9 +14,15 @@ import pytest
 
 from embtrees import (
     BudgetExceeded,
+    EmbeddedCayleyTree,
+    NotInjective,
     Profile,
     SAryTree,
+    SFunction,
     StepSet,
+    enumerate_embedded_cayley,
+    enumerate_marked_strees,
+    enumerate_sary,
     enumerate_sfunctions,
     equivalent,
     phi,
@@ -26,8 +32,10 @@ from embtrees import (
     sample_embedded_cayley,
     sample_sary,
     sample_sfunction,
+    sary_from_injective,
     shape_key,
     type_distribution_of,
+    vertex_type,
 )
 from embtrees.bijection_general import classify_case, psi_with_trace
 from embtrees.bijection_nonneg import phi1, phi2, phi_with_trace
@@ -40,6 +48,7 @@ from embtrees.core import (
     sary_from_json,
     sary_to_json,
     sfunction_to_json,
+    type_distribution_to_json,
 )
 
 from conftest import profiles_up_to
@@ -173,6 +182,43 @@ def test_bijection_outputs_are_pinned():
                 count += 1
     assert count == 826 and cases == {None, "A1", "A2", "A3", "B"}
     assert digest.hexdigest() == BIJECTIONS_SHA256
+
+
+CENSUS_STEP_SETS = [StepSet(s) for s in ([-1, 1], [-1, 0, 1], [-2, -1, 1])]
+CENSUS_SHA256 = "b6f9ea61d8f3fe1cff3ce0f861093de27363da4c8e9af78ed9b36c4df49fbdff"
+
+
+def test_census_outputs_are_pinned():
+    """Every oracle marked tree, (F)-function, embedded Cayley tree and S-ary
+    tree with n <= 4 over three step sets: their type distributions, the
+    complete type of every vertex and the S-ary shapes of the trees (or
+    their rejection as not injective) hash to a pinned digest, so a change
+    to the census that alters an output shows here."""
+    digest = hashlib.sha256()
+    count = 0
+    for steps in CENSUS_STEP_SETS:
+        for p in profiles_up_to(4, nonneg=None if steps.m == -1 else True):
+            regime = "general" if p.ell < 0 else "nonneg"
+            for obj in [*enumerate_marked_strees(steps, p, regime),
+                        *enumerate_sfunctions(steps, p, regime),
+                        *enumerate_embedded_cayley(steps, p),
+                        *enumerate_sary(steps, p)]:
+                dist = type_distribution_of(obj, m=steps.m)
+                texts = [type_distribution_to_json(dist)]
+                if not isinstance(obj, SAryTree):
+                    verts = (range(1, obj.n + 1) if isinstance(obj, EmbeddedCayleyTree)
+                             else obj.vertex_set.vertices())
+                    texts += [repr(vertex_type(obj, v)) for v in verts]
+                if not isinstance(obj, (SAryTree, SFunction)):
+                    try:
+                        texts.append(sary_to_json(sary_from_injective(obj)))
+                    except NotInjective:
+                        texts.append("not injective")
+                for text in texts:
+                    digest.update(text.encode() + b"\n")
+                count += 1
+    assert count == 3377
+    assert digest.hexdigest() == CENSUS_SHA256
 
 
 @pytest.mark.parametrize("steps", STEP_SETS, ids=str)
