@@ -4,6 +4,11 @@ Everything here is deliberately naive (full enumeration with rejection and
 profile pruning, no counting shortcuts) so that it can be audited line by
 line.  Budgets cap the work: enumerators count elementary steps and raise
 BudgetExceeded past the cap.
+
+The census sweep walks only the trees rooted at label 1 and counts each n
+times.  That is exact: swapping the labels 1 and r maps the embedded trees
+rooted at r one-to-one onto those rooted at 1, and moves no abscissa, so
+every profile and every census key is kept.
 """
 
 from __future__ import annotations
@@ -240,11 +245,14 @@ def _enumerate_strees(vset: VertexSet, step_set: StepSet, roots: list[Vertex],
 # ---------------------------------------------------------------------------
 
 _ROOTED_TREE_CACHE: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+_TRAVERSAL_CACHE: dict[int, list[tuple[int, tuple[tuple[int, int], ...],
+                                       tuple[int, ...], tuple[int, ...]]]] = {}
 
 
 def rooted_cayley_trees(n: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """All n^{n-1} rooted Cayley trees on labels 1..n as (root, parent pairs),
-    obtained by decoding every parent sequence and rejecting non-trees."""
+    obtained by decoding every parent sequence and rejecting non-trees.
+    The trees are listed by increasing root label."""
     if n not in _ROOTED_TREE_CACHE:
         labels = list(range(1, n + 1))
         trees = []
@@ -261,11 +269,33 @@ def rooted_cayley_trees(n: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]
     return _ROOTED_TREE_CACHE[n]
 
 
-def _rooted_cayley_trees(n: int, budget: EnumerationBudget,
-                         ) -> Iterator[tuple[int, dict[int, int]]]:
-    for root, pairs in rooted_cayley_trees(n):
-        budget.charge(n)
-        yield root, dict(pairs)
+def _traversals(n: int) -> list[tuple[int, tuple[tuple[int, int], ...],
+                                      tuple[int, ...], tuple[int, ...]]]:
+    """(root, pairs, order, up) for each tree of rooted_cayley_trees(n), in
+    the same order.  `order` lists the labels depth first, children by
+    increasing label, and up[k] is the position in `order` of the parent of
+    order[k] (up[0] = -1).  Equal orders and equal ups share one tuple."""
+    if n not in _TRAVERSAL_CACHE:
+        orders: dict[tuple[int, ...], tuple[int, ...]] = {}
+        ups: dict[tuple[int, ...], tuple[int, ...]] = {}
+        traversals = []
+        for root, pairs in rooted_cayley_trees(n):
+            children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+            for v, w in pairs:  # pairs run by increasing child label
+                children[w].append(v)
+            order: list[int] = []
+            up: list[int] = []
+            stack = [(root, -1)]
+            while stack:
+                v, k = stack.pop()
+                up.append(k)
+                stack.extend((c, len(order)) for c in reversed(children[v]))
+                order.append(v)
+            order_t, up_t = tuple(order), tuple(up)
+            traversals.append((root, pairs, orders.setdefault(order_t, order_t),
+                               ups.setdefault(up_t, up_t)))
+        _TRAVERSAL_CACHE[n] = traversals
+    return _TRAVERSAL_CACHE[n]
 
 
 def _placements(n: int, root_place: int, moves: dict[int, list[int]],
@@ -275,35 +305,26 @@ def _placements(n: int, root_place: int, moves: dict[int, list[int]],
     placement of its vertices with the root at root_place, each child at one
     of moves[its parent's place], and counts[q] vertices at each place q.
     Vertices are placed in DFS order, pruned on the counts left."""
-    for root, parent in _rooted_cayley_trees(n, budget):
-        children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        for v in sorted(parent):
-            children[parent[v]].append(v)
-        order = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(children[v]))
-        place = {root: root_place}
+    for root, pairs, order, up in _traversals(n):
+        budget.charge(n)
         remaining = dict(counts)
         if remaining.get(root_place, 0) < 1:
             continue
         remaining[root_place] -= 1
+        parent = dict(pairs)
+        place = [root_place] * n  # place[k] is the place of order[k]
 
-        def assign(idx: int) -> Iterator[dict[int, int]]:
+        def assign(k: int) -> Iterator[dict[int, int]]:
             budget.charge()
-            if idx == len(order):
-                if all(c == 0 for c in remaining.values()):
-                    yield dict(place)
+            if k == n:
+                if not any(remaining.values()):
+                    yield dict(zip(order, place))
                 return
-            v = order[idx]
-            for q in moves[place[parent[v]]]:
+            for q in moves[place[up[k]]]:
                 if remaining.get(q, 0) > 0:
                     remaining[q] -= 1
-                    place[v] = q
-                    yield from assign(idx + 1)
-                    del place[v]
+                    place[k] = q
+                    yield from assign(k + 1)
                     remaining[q] += 1
 
         for full in assign(1):
@@ -600,6 +621,11 @@ def sweep_embedded_censuses(step_set: StepSet, n: int,
     profile: result[g][(ell, counts)][census_key] = count.  "count" buckets
     just the number of trees per profile.
 
+    Only the trees rooted at label 1 are swept, each counted n times.  That
+    is exact: the transposition of labels 1 and r maps the embedded trees
+    rooted at r one-to-one onto those rooted at 1 and keeps every abscissa,
+    so it keeps every profile and every census key.
+
     Census keys are computed inline from the parent/abscissa arrays (the
     object-level type_distribution_of is exercised separately); c-vectors are
     dense over min S .. 1.
@@ -614,72 +640,59 @@ def sweep_embedded_censuses(step_set: StepSet, n: int,
     steps = sorted(step_set)
     m = step_set.m
     width = 1 - m + 1
-    for root, pairs in rooted_cayley_trees(n):
+    for root, _pairs, _order, up in _traversals(n):
+        if root != 1:
+            break  # the trees come by increasing root label
         budget.charge(n)
-        parent = dict(pairs)
-        children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        for v, w in pairs:
-            children[w].append(v)
-        order = [root]
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for c in children[v]:
-                order.append(c)
-                stack.append(c)
-        absc = {root: 0}
+        absc = [0] * n  # absc[k] is the abscissa of the k-th vertex in DFS order
         counts: dict[int, int] = {0: 1}
 
         def emit() -> None:
             lo = min(counts)
             hi = max(counts)
             pkey = (lo, tuple(counts.get(i, 0) for i in range(lo, hi + 1)))
-            result["count"][pkey] = result["count"].get(pkey, 0) + 1
+            result["count"][pkey] = result["count"].get(pkey, 0) + n
             if not granularities:
                 return
-            cvecs = {v: [0] * width for v in absc}
+            cvecs = [[0] * width for _ in range(n)]
             out: dict[tuple[int, int], int] = {}
-            for v, w in pairs:
-                s = absc[v] - absc[w]
-                cvecs[w][s - m] += 1
-                out[(absc[v], s)] = out.get((absc[v], s), 0) + 1
+            for k in range(1, n):
+                s = absc[k] - absc[up[k]]
+                cvecs[up[k]][s - m] += 1
+                out[(absc[k], s)] = out.get((absc[k], s), 0) + 1
             for g in granularities:
                 if g == "out":
                     key = tuple(sorted(out.items()))
                 elif g == "in":
                     inn: dict = {}
-                    for v in absc:
-                        k = (absc[v], tuple(cvecs[v]))
-                        inn[k] = inn.get(k, 0) + 1
+                    for k in range(n):
+                        t = (absc[k], tuple(cvecs[k]))
+                        inn[t] = inn.get(t, 0) + 1
                     key = tuple(sorted(inn.items()))
                 else:
                     comp: dict = {}
-                    for v in absc:
-                        if v == root:
-                            continue
-                        k = (absc[v], absc[v] - absc[parent[v]], tuple(cvecs[v]))
-                        comp[k] = comp.get(k, 0) + 1
-                    key = (tuple(cvecs[root]), tuple(sorted(comp.items())))
+                    for k in range(1, n):
+                        t = (absc[k], absc[k] - absc[up[k]], tuple(cvecs[k]))
+                        comp[t] = comp.get(t, 0) + 1
+                    key = (tuple(cvecs[0]), tuple(sorted(comp.items())))
                 bucket = result[g].setdefault(pkey, {})
-                bucket[key] = bucket.get(key, 0) + 1
+                bucket[key] = bucket.get(key, 0) + n
 
-        def assign(idx: int) -> None:
-            if idx == len(order):
+        def assign(k: int) -> None:
+            if k == n:
                 emit()
                 return
             budget.charge()
-            v = order[idx]
-            base = absc[parent[v]]
+            base = absc[up[k]]
             for s in steps:
                 a = base + s
-                absc[v] = a
+                absc[k] = a
                 counts[a] = counts.get(a, 0) + 1
-                assign(idx + 1)
+                assign(k + 1)
                 if counts[a] == 1:
                     del counts[a]
                 else:
                     counts[a] -= 1
-                del absc[v]
 
         assign(1)
     return result

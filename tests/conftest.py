@@ -13,6 +13,19 @@ ALL_STEP_SETS = [
     for extra in itertools.combinations([-2, -1, 0], k)
 ]
 
+# the criterion-8 targets: every rooted tree on up to 4 nodes, as (edges, root)
+# up to rooted isomorphism, nodes labeled 0..k-1
+ROOTED_TARGET_SHAPES = [
+    ((), 0),                                  # point
+    (((0, 1),), 0),                           # edge
+    (((0, 1), (1, 2)), 0),                    # path, end root
+    (((0, 1), (1, 2)), 1),                    # path, middle root
+    (((0, 1), (1, 2), (2, 3)), 0),            # path-4, end root
+    (((0, 1), (1, 2), (2, 3)), 1),            # path-4, inner root
+    (((0, 1), (0, 2), (0, 3)), 0),            # star, center root
+    (((0, 1), (0, 2), (0, 3)), 1),            # star, leaf root
+]
+
 
 def compositions(total: int, parts: int):
     if parts == 1:

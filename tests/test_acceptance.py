@@ -25,7 +25,8 @@ import pytest
 import scipy.stats
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from conftest import ALL_STEP_SETS, compositions, profiles_of_size, profiles_up_to
+from conftest import (ALL_STEP_SETS, ROOTED_TARGET_SHAPES, compositions,
+                      profiles_of_size, profiles_up_to)
 
 from embtrees import (
     CycleGraph,
@@ -504,19 +505,6 @@ def test_criterion_7_sampler_statistics():
 # ---------------------------------------------------------------------------
 # criterion 8: trees embedded in trees
 # ---------------------------------------------------------------------------
-
-ROOTED_TARGET_SHAPES = [
-    # (edges, root) up to rooted isomorphism, nodes labeled 0..k-1
-    ((), 0),                                  # point
-    (((0, 1),), 0),                           # edge
-    (((0, 1), (1, 2)), 0),                    # path, end root
-    (((0, 1), (1, 2)), 1),                    # path, middle root
-    (((0, 1), (1, 2), (2, 3)), 0),            # path-4, end root
-    (((0, 1), (1, 2), (2, 3)), 1),            # path-4, inner root
-    (((0, 1), (0, 2), (0, 3)), 0),            # star, center root
-    (((0, 1), (0, 2), (0, 3)), 1),            # star, leaf root
-]
-
 
 def _morphism_census(adj: dict[int, list[int]], root_node: int, n: int) -> dict:
     """Brute force: bucket all rooted Cayley trees with a root-preserving

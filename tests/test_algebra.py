@@ -206,6 +206,17 @@ class TestMatrixTree:
             assert cayley_from_spanning(p, PM, w) == eval_out_gf(PM, p, w)
 
 
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_closed_form_matches_bareiss_at_scale(self, n):
+        rng = random.Random(n)
+        for negative in (False, True, False, True):
+            k = rng.randint(3, 8)
+            cuts = sorted(rng.sample(range(1, n), k - 1))
+            counts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+            p = Profile(counts, ell=-rng.randint(1, k - 1) if negative else 0)
+            assert count_cayley_profile(PM, p) == cayley_from_spanning(p, PM) \
+                == eval_out_gf(PM, p), str(p)
+
 class TestTreeInTreeDet:
     def test_pins(self):
         path3 = TargetTree.of(0, [(-1, 0), (0, 1)], {-1: 2, 0: 2, 1: 1})

@@ -1,6 +1,8 @@
 """The brute-force enumerators themselves: cardinalities, determinism, budgets."""
 
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -23,7 +25,11 @@ from embtrees.core import (
     sary_to_json,
     sfunction_to_json,
 )
-from embtrees.oracle import dump_ndjson, rooted_cayley_trees
+from embtrees.oracle import (
+    dump_ndjson,
+    rooted_cayley_trees,
+    sweep_embedded_censuses,
+)
 
 from conftest import ALL_STEP_SETS, profiles_up_to
 
@@ -142,6 +148,38 @@ class TestBudget:
                 PM, p, EnumerationBudget(max_size=10, max_candidates=steps - 1)))
 
 
+    def test_sweep_size_guard(self):
+        with pytest.raises(BudgetExceeded):
+            sweep_embedded_censuses(PM, 5, budget=EnumerationBudget(max_size=4))
+
+    def test_sweep_step_cap_error(self):
+        budget = EnumerationBudget(max_size=10, max_candidates=50)
+        with pytest.raises(BudgetExceeded):
+            sweep_embedded_censuses(PM, 4, ("out", "in"), budget)
+
+    def test_each_sweep_is_metered_alone(self, monkeypatch):
+        charged = []
+        charge = EnumerationBudget.charge
+
+        def counting(budget, amount=1):
+            charged.append(amount)
+            charge(budget, amount)
+
+        monkeypatch.setattr(EnumerationBudget, "charge", counting)
+        sweep = sweep_embedded_censuses(PM, 4, ("out",))
+        monkeypatch.undo()
+        steps = sum(charged)
+        assert sweep["out"] and steps > 1
+        # a cap that fits one sweep but not two in a row
+        shared = EnumerationBudget(max_size=10, max_candidates=steps)
+        assert sweep_embedded_censuses(PM, 4, ("out",), shared) == sweep
+        assert sweep_embedded_censuses(PM, 4, ("out",), shared) == sweep
+        with pytest.raises(BudgetExceeded):
+            sweep_embedded_censuses(
+                PM, 4, ("out",),
+                EnumerationBudget(max_size=10, max_candidates=steps - 1))
+
+
 class TestCensus:
     def test_profile_census_of_binary_size3(self):
         # all 5 binary trees of size 3 across their vertical profiles
@@ -158,3 +196,65 @@ class TestCensus:
     def test_rooted_tree_cache(self):
         assert len(rooted_cayley_trees(4)) == 4 ** 3
         assert len(rooted_cayley_trees(5)) == 5 ** 4
+
+
+def _all_roots_sweep(step_set, n, granularities):
+    """The census sweep over every root label, each embedded tree counted
+    once and built from its step sequence in one pass: the reference for
+    the root-label symmetry of sweep_embedded_censuses."""
+    result = {g: {} for g in granularities}
+    result["count"] = {}
+    m = step_set.m
+    for root, pairs in rooted_cayley_trees(n):
+        parent = dict(pairs)
+        children = {v: [] for v in range(1, n + 1)}
+        for v, w in pairs:
+            children[w].append(v)
+        order = [root]
+        stack = [root]
+        while stack:
+            for c in children[stack.pop()]:
+                order.append(c)
+                stack.append(c)
+        for steps in itertools.product(sorted(step_set), repeat=n - 1):
+            absc = {root: 0}
+            for v, s in zip(order[1:], steps):
+                absc[v] = absc[parent[v]] + s
+            counts = Counter(absc.values())
+            lo, hi = min(counts), max(counts)
+            pkey = (lo, tuple(counts.get(i, 0) for i in range(lo, hi + 1)))
+            result["count"][pkey] = result["count"].get(pkey, 0) + 1
+            cvecs = {v: [0] * (2 - m) for v in absc}
+            for v, w in pairs:
+                cvecs[w][absc[v] - absc[w] - m] += 1
+            keys = {
+                "out": tuple(sorted(Counter(
+                    (absc[v], absc[v] - absc[w]) for v, w in pairs).items())),
+                "in": tuple(sorted(Counter(
+                    (absc[v], tuple(cvecs[v])) for v in absc).items())),
+                "complete": (tuple(cvecs[root]), tuple(sorted(Counter(
+                    (absc[v], absc[v] - absc[w], tuple(cvecs[v]))
+                    for v, w in pairs).items()))),
+            }
+            for g in granularities:
+                bucket = result[g].setdefault(pkey, {})
+                bucket[keys[g]] = bucket.get(keys[g], 0) + 1
+    return result
+
+
+class TestSweep:
+    GRANULARITIES = ("out", "in", "complete")
+
+    @pytest.mark.parametrize("steps", [[-1, 1], [-1, 0, 1], [0, 1], [-2, -1, 1]],
+                             ids=str)
+    def test_root_symmetry_matches_all_roots(self, steps):
+        S = StepSet(steps)
+        for n in range(1, 5):
+            assert sweep_embedded_censuses(S, n, self.GRANULARITIES) == \
+                _all_roots_sweep(S, n, self.GRANULARITIES), n
+
+    def test_root_symmetry_matches_all_roots_at_five(self):
+        S = StepSet([-1, 0, 1])
+        sweep = sweep_embedded_censuses(S, 5, self.GRANULARITIES)
+        assert sum(sweep["count"].values()) == 5 ** 4 * 3 ** 4
+        assert sweep == _all_roots_sweep(S, 5, self.GRANULARITIES)

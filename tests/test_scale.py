@@ -1,7 +1,7 @@
 """Property tests at sizes the oracle cannot reach: bijection round trips with
 census preservation near n = 10^3, both samplers near n = 10^4, seeded
-samples and the small bijection outputs pinned byte for byte, and the
-samplers under python -O."""
+samples, the small bijection outputs and the oracle's enumerations pinned
+byte for byte, and the samplers under python -O."""
 
 import hashlib
 import os
@@ -20,6 +20,7 @@ from embtrees import (
     SAryTree,
     SFunction,
     StepSet,
+    TargetTree,
     enumerate_embedded_cayley,
     enumerate_marked_strees,
     enumerate_sary,
@@ -50,8 +51,10 @@ from embtrees.core import (
     sfunction_to_json,
     type_distribution_to_json,
 )
+from embtrees.oracle import enumerate_target_embeddings
 
-from conftest import profiles_up_to
+from conftest import (ROOTED_TARGET_SHAPES, compositions, profiles_of_size,
+                      profiles_up_to)
 
 STEP_SETS = [StepSet([-1, 0, 1]), StepSet([-1, 1])]
 
@@ -219,6 +222,46 @@ def test_census_outputs_are_pinned():
                 count += 1
     assert count == 3377
     assert digest.hexdigest() == CENSUS_SHA256
+
+
+ENUMERATOR_STEP_SETS = [StepSet(s) for s in ([-1, 1], [-1, 0, 1], [0, 1],
+                                             [-2, -1, 1])]
+ENUMERATORS_SHA256 = "79f7f96793e329c009a994eb87e9b08025dfad0e797112ad2226c9cb34757e5c"
+EMBEDDINGS = 9483
+
+
+def test_enumerator_outputs_are_pinned():
+    """Every embedded Cayley tree over every profile with n <= 5 for four step
+    sets, and every embedding into the criterion-8 targets with n <= 5: the
+    (root, parent, abscissa) triples hash, in yield order, to a pinned
+    digest, so a change to the oracle that alters or reorders its output
+    shows here."""
+    digest = hashlib.sha256()
+
+    def update(root, parent, abscissa):
+        digest.update(repr((root, sorted(parent.items()),
+                            sorted(abscissa.items()))).encode() + b"\n")
+
+    for steps in ENUMERATOR_STEP_SETS:
+        for n in range(1, 6):
+            trees = 0
+            for p in profiles_of_size(n):
+                for t in enumerate_embedded_cayley(steps, p):
+                    update(t.root, t.parent, t.abscissa)
+                    trees += 1
+            if steps.is_interval():  # no tree skips an abscissa
+                assert trees == n ** (n - 1) * len(steps.steps) ** (n - 1)
+    embeddings = 0
+    for edges, root_node in ROOTED_TARGET_SHAPES:
+        nodes = sorted({v for e in edges for v in e} | {root_node})
+        for n in range(len(nodes), 6):
+            for counts in compositions(n, len(nodes)):
+                target = TargetTree.of(root_node, edges, dict(zip(nodes, counts)))
+                for triple in enumerate_target_embeddings(target):
+                    update(*triple)
+                    embeddings += 1
+    assert embeddings == EMBEDDINGS
+    assert digest.hexdigest() == ENUMERATORS_SHA256
 
 
 @pytest.mark.parametrize("steps", STEP_SETS, ids=str)
