@@ -5,7 +5,7 @@ Every count in this library can be reached three ways: the closed-form
 product, naive enumeration, and linear algebra (signed cycle-configuration
 sums / exact matrix-tree determinants).  This script runs all three on small
 inputs, including the weighted versions, and shows a case where the closed
-form provably does NOT apply.
+form provably does NOT apply, and the general count that does.
 """
 
 import random
@@ -52,6 +52,10 @@ bad = CycleGraph(-1, 1, StepSet([-2, -1, 1]))
 y = {-1: 1, 0: 1, 1: 1}
 print("S = {-2,-1,1}, ell < 0: sum =", eval_P(bad, y),
       "but the closed form would give", closed_P(bad, y))
+s221 = StepSet([-2, -1, 1])
+q = Profile.parse("1,2,1;1")
+print("the general count there, profile", q, ":", count_cayley_profile(s221, q),
+      "= naive enumeration", sum(1 for _ in enumerate_embedded_cayley(s221, q)))
 
 print()
 print("=== trees embedded in trees ===")

@@ -3,9 +3,12 @@
 Two independent ways to recount what the bijections prove: the signed sums
 over configurations of disjoint elementary cycles that appear when the
 Lagrange-Good determinant is expanded, and the weighted matrix-tree
-determinant over the blown-up vertex set.  All arithmetic is exact (ints and
-Fractions); determinants use fraction-free Bareiss elimination over integers
-after clearing denominators.
+determinant over the blown-up vertex set.  Every eval_P* evaluates its sum
+by formulas.configuration_sum, a transfer recurrence linear in the span;
+enumerate_cycle_configurations lists the configurations one by one and is
+kept as the naive reference the recurrence is tested against.  All
+arithmetic is exact (ints and Fractions); determinants use fraction-free
+Bareiss elimination over integers after clearing denominators.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from .core import (
 from .formulas import (
     TargetTree,
     WeightAssignment,
-    _image_choices,
     _multinomial,
     _out_spine,
-    _ratio,
     _spine,
+    configuration_sum,
     product,
 )
 
@@ -75,7 +77,8 @@ class CycleGraph:
 
 def enumerate_cycle_configurations(g: CycleGraph
                                    ) -> Iterator[tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]]:
-    """All sets of vertex-disjoint elementary cycles, including the empty one."""
+    """All sets of vertex-disjoint elementary cycles, including the empty one:
+    the naive reference for configuration_sum (exponential in the span)."""
     if g.r - g.ell > 12:
         raise BudgetExceeded("cycle graph span exceeds the combinatorial guard")
     cycles = g.elementary_cycles()
@@ -117,7 +120,8 @@ def eval_P_out(g: CycleGraph, out: Mapping[tuple[int, int], int]) -> Fraction:
     for (i, _s), c in out.items():
         if c and not (g.ell <= i <= g.r):
             raise IncompatibleDistribution(f"out count at abscissa {i} outside graph")
-    return _configuration_sum(g, lambda i, s: out.get((i, s), 0), dict.fromkeys(n, 1), n)
+    return Fraction(configuration_sum(g.step_set, g.ell, g.r, n, dict.fromkeys(n, 1),
+                                      lambda i, s: out.get((i, s), 0)))
 
 
 def closed_P_out(g: CycleGraph, out: Mapping[tuple[int, int], int]) -> Fraction:
@@ -139,26 +143,7 @@ def eval_P_refined(g: CycleGraph, y: Mapping[int, Fraction | int],
     levels = range(g.ell, g.r + 1)
     off_cycle = {i: sum(yv(i - s) * w.get(i, s) for s in g.step_set) for i in levels}
     on_cycle = {i: yv(i) - (1 if i == 0 else 0) for i in levels}
-    return _configuration_sum(g, w.get, on_cycle, off_cycle)
-
-
-def _configuration_sum(g: CycleGraph, arc: Callable[[int, int], Fraction | int],
-                       on_cycle: Mapping[int, Fraction | int],
-                       off_cycle: Mapping[int, Fraction | int]) -> Fraction:
-    """sum_C (-1)^{|C|} prod_{arcs (i,s) of C} arc(i, s)
-    prod_{i in C} on_cycle[i] prod_{i not in C} off_cycle[i]."""
-    total = 0
-    for config in enumerate_cycle_configurations(g):
-        term = (-1) ** len(config)
-        in_c = set()
-        for verts, arcs in config:
-            in_c.update(verts)
-            for (tail, s) in arcs:
-                term *= arc(tail, s)
-        for i in range(g.ell, g.r + 1):
-            term *= on_cycle[i] if i in in_c else off_cycle[i]
-        total += term
-    return Fraction(total)
+    return Fraction(configuration_sum(g.step_set, g.ell, g.r, off_cycle, on_cycle, w.get))
 
 
 def closed_P_refined(g: CycleGraph, y: Mapping[int, Fraction | int],
@@ -249,8 +234,8 @@ def laplacian_minor_det(profile: Profile, step_set: StepSet,
     the weighted digraph on V with an arc i^p -> j^q of weight x_{i,s}
     whenever the vertices differ and j = i - s for some s in S.
 
-    Equals (prod_{i<0} x_{i,-1}) (prod_{i>0} x_{i,1}) (prod_{l+1}^{r-1} n_i)
-    prod_i (sum_s n_{i-s} x_{i,s})^{n_i-1} under min S = -1 or l = 0.
+    Times n_0 n!/prod n_i! it is formulas.eval_out_gf, for every profile
+    (cayley_from_spanning).
     """
     if profile.n > 60:
         raise BudgetExceeded("dense exact determinant guard: n <= 60")
@@ -262,31 +247,6 @@ def laplacian_minor_det(profile: Profile, step_set: StepSet,
                 for w in vset.level(v.i - s) if w != v]
 
     return _minor_det(list(vset.vertices()), arcs, Vertex(0, profile.count(0)))
-
-
-def spanning_product_formula(profile: Profile, step_set: StepSet,
-                             weights: WeightAssignment | Mapping | None = None
-                             ) -> Fraction:
-    """The product the minor determinant factors into.
-
-    For ell = r = 0 the cycle-sum base case applies instead (exactly as for
-    the unweighted configuration lemma): the determinant is
-    x_{0,0} chi_{0 in S} (sum_s n_{-s} x_{0,s})^{n_0 - 2}, which is what
-    reduces to n^{n-2} rooted at a fixed vertex in the pure Cayley case.
-    """
-    p = profile
-    weights = WeightAssignment.coerce(weights)
-    if p.ell == 0 and p.r == 0:
-        if p.n == 1:
-            return Fraction(1)
-        if 0 not in step_set:
-            return Fraction(0)
-        total = Fraction(p.count(0)) * weights.get(0, 0)
-        return weights.get(0, 0) * total ** (p.n - 2)
-    return Fraction(*_ratio([
-        ("spine weights", _spine(weights.get, p.ell, p.r)),
-        ("prod_{l+1}^{r-1} n_i", math.prod(p.count(i) for i in range(p.ell + 1, p.r))),
-        *_image_choices(step_set, p, weights)]))
 
 
 def spanning_trees_direct(profile: Profile, step_set: StepSet,

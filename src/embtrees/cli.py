@@ -132,8 +132,6 @@ def _check_formulas(step_set: StepSet, max_n: int) -> dict:
     ok = True
     checked = 0
     for p in _profiles_up_to(max_n):
-        if p.ell < 0 and step_set.m != -1:
-            continue
         count = sum(1 for _ in oracle.enumerate_embedded_cayley(step_set, p))
         ok = ok and (count == formulas.count_cayley_profile(step_set, p))
         scount = sum(1 for _ in oracle.enumerate_sary(step_set, p))

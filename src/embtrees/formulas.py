@@ -4,6 +4,12 @@ Every operation evaluates the displayed product formula over exact rationals
 and asserts integrality at the end where a count is promised.  Conventions:
 empty products are 1, 0^0 = 1, and C(a, b) = 0 when b < 0 or b > a, so the
 edge cases (r = 0, ell = 0, n_i = 1) evaluate without special-casing.
+
+The Cayley and S-ary profile counts hold for every profile and every S: where
+the paper's hypothesis (min S = -1 or ell = 0) fails, they are the
+Lagrange-Good expansion, a product of local rows times one configuration_sum
+over the disjoint cycles of G_{ell,r}(S), evaluated by a transfer recurrence
+linear in the span.  The paper's ell = -1 and -2 products are instances.
 """
 
 from __future__ import annotations
@@ -65,11 +71,6 @@ def product(factors: Factors, what: str) -> BigCount:
     return quotient
 
 
-def neighbor_sum(profile: Profile, step_set: StepSet, i: int) -> int:
-    """sum_{s in S} n_{i-s}, with n_j = 0 outside [ell, r]."""
-    return sum(profile.count(i - s) for s in step_set)
-
-
 def _spine(x: Callable[[int, int], Fraction | int], ell: int, r: int) -> Fraction | int:
     """prod_{i<0} x(i, -1) prod_{i>0} x(i, 1), the factor of the out-steps
     along the spine ell^1 -> ... -> 0^1 <- ... <- r^1."""
@@ -81,6 +82,33 @@ def _multinomial(parts: Iterable[int]) -> int:
     """(sum parts)! / prod parts!."""
     parts = list(parts)
     return math.factorial(sum(parts)) // math.prod(math.factorial(c) for c in parts)
+
+
+def configuration_sum(step_set: StepSet, ell: int, r: int,
+                      off: Mapping[int, Fraction | int], on: Mapping[int, Fraction | int],
+                      arc: Callable[[int, int], Fraction | int]) -> Fraction | int:
+    """sum_C (-1)^{|C|} prod_{arcs (i,s) of C} arc(i, s)
+    prod_{i in C} on[i] prod_{i not in C} off[i], over the sets C of disjoint
+    elementary cycles of the digraph on {ell..r} with arcs i -> i - s, s in S.
+
+    With max S = 1 the cycles are the descending runs [k+s, k], s <= 0 in S,
+    so a transfer over the top vertex k sums them in O((r - ell) |min S|):
+    F[ell-1] = 1 and
+    F[k] = F[k-1] off[k] - sum_{s <= 0, k+s >= ell} F[k+s-1] arc(k+s, s)
+           prod_{j=k+s+1..k} arc(j, 1) prod_{j=k+s..k} on[j],
+    and the sum is F[r].
+    """
+    f = [1]  # f[k - ell + 1] = F[k]
+    for k in range(ell, r + 1):
+        total = f[-1] * off[k]
+        run = on[k]  # the arcs and on-weights of the run [t, k]
+        for t in range(k, max(ell, k + step_set.m) - 1, -1):
+            if t < k:
+                run *= arc(t + 1, 1) * on[t]
+            if t - k in step_set:
+                total -= f[t - ell] * arc(t, t - k) * run
+        f.append(total)
+    return f[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -109,56 +137,85 @@ def _marked_vertex(p: Profile) -> tuple[str, Fraction]:
             Fraction(p.count(0), p.count(p.ell) * p.count(p.r)))
 
 
-def _image_choices(step_set: StepSet, p: Profile,
-                   w: WeightAssignment | None = None) -> Factors:
-    """(sum_s n_{i-s} x_{i,s})^(n_i-1) for every abscissa i; x = 1 without w."""
-    x = "" if w is None else " x_{i,s}"
-    return [(f"image choices at abscissa {i}: (sum_s n_{{i-s}}{x})^(n_i-1)",
-             (neighbor_sum(p, step_set, i) if w is None else
-              sum(p.count(i - s) * w.get(i, s) for s in step_set)) ** (ni - 1))
-            for i, ni in p.items()]
+def _image_sums(step_set: StepSet, p: Profile,
+                w: WeightAssignment | None = None) -> dict[int, Fraction | int]:
+    """d_i = sum_s n_{i-s} x_{i,s} for every abscissa i (n_j = 0 outside
+    [ell, r]); x = 1 without w."""
+    if w is None:
+        return {i: sum(p.count(i - s) for s in step_set) for i in p.abscissas()}
+    return {i: sum(p.count(i - s) * w.get(i, s) for s in step_set) for i in p.abscissas()}
+
+
+def _closed_form_applies(step_set: StepSet, p: Profile) -> bool:
+    """The paper's product formulas hold when min S = -1 or ell = 0."""
+    return step_set.m == -1 or p.ell == 0
 
 
 def cayley_factors(step_set: StepSet, profile: Profile,
                    weights: WeightAssignment | Mapping | None = None) -> Factors:
     """S-embedded Cayley trees with a given vertical profile, x_{i,s} marking
-    the vertices of out-type (i;s) (all x = 1 when weights is None):
+    the vertices of out-type (i;s) (all x = 1 when weights is None).  With
+    d_i = sum_s n_{i-s} x_{i,s}, where min S = -1 or ell = 0 this is the
+    paper's product
     (n_0/(n_ell n_r)) (n!/prod (n_i-1)!) prod_{i<0} x_{i,-1} prod_{i>0} x_{i,1}
-    prod_i (sum_s n_{i-s} x_{i,s})^{n_i-1}.
-
-    Requires min S = -1 or ell = 0.
+    prod_i d_i^{n_i-1},
+    and for every profile it is the Lagrange-Good expansion
+    n_0 (n!/prod n_i!) prod_{i != 0} d_i^{n_i-1} d_0^{max(n_0-2, 0)} P,
+    P the configuration_sum with off[i] = d_i (1 at i = 0 when n_0 = 1),
+    on[i] = n_i - chi_{i=0} and arc = x.
     """
     p = profile
-    _require_profile_hypotheses(step_set, p)
-    rows = [_marked_vertex(p),
-            ("relabelings n!/prod (n_i-1)!", math.factorial(p.n) // math.prod(
-                math.factorial(ni - 1) for _i, ni in p.items()))]
-    if weights is None:
-        return rows + _image_choices(step_set, p)
-    w = WeightAssignment.coerce(weights)
-    rows.append(("spine weights prod_{i<0} x_{i,-1} prod_{i>0} x_{i,1}",
-                 _spine(w.get, p.ell, p.r)))
-    return rows + _image_choices(step_set, p, w)
+    w = None if weights is None else WeightAssignment.coerce(weights)
+    x = "" if w is None else " x_{i,s}"
+    d = _image_sums(step_set, p, w)
+    if _closed_form_applies(step_set, p):
+        rows = [_marked_vertex(p),
+                ("relabelings n!/prod (n_i-1)!", math.factorial(p.n) // math.prod(
+                    math.factorial(ni - 1) for _i, ni in p.items()))]
+        if w is not None:
+            rows.append(("spine weights prod_{i<0} x_{i,-1} prod_{i>0} x_{i,1}",
+                         _spine(w.get, p.ell, p.r)))
+        return rows + [(f"image choices at abscissa {i}: (sum_s n_{{i-s}}{x})^(n_i-1)",
+                        d[i] ** (ni - 1)) for i, ni in p.items()]
+    n0 = p.count(0)
+    off = {**d, 0: d[0] if n0 > 1 else 1}
+    on = {i: ni - (i == 0) for i, ni in p.items()}
+    arc = (w or WeightAssignment()).get
+    return [("root multiplicity n_0", n0),
+            ("relabelings n!/prod n_i!", _multinomial(p.counts)),
+            *((f"image choices at abscissa {i}: (sum_s n_{{i-s}}{x})^(n_i-1)",
+               d[i] ** (ni - 1)) for i, ni in p.items() if i != 0),
+            (f"image choices at abscissa 0: (sum_s n_{{-s}}{x})^max(n_0-2,0)",
+             d[0] ** max(n0 - 2, 0)),
+            ("configuration sum P_{ell,r}",
+             configuration_sum(step_set, p.ell, p.r, off, on, arc))]
 
 
 def count_cayley_profile(step_set: StepSet, profile: Profile) -> BigCount:
     """S-embedded Cayley trees with a given vertical profile (cayley_factors
-    at x = 1).  Requires min S = -1 or ell = 0."""
+    at x = 1)."""
     return product(cayley_factors(step_set, profile), "Cayley profile count")
 
 
 def sary_factors(step_set: StepSet, profile: Profile) -> Factors:
-    """S-ary trees with a given vertical profile:
-    (n_0 / (n_ell n_r)) C(sum_s n_{-s}, n_0 - 1)
-    prod_{i != 0} C(sum_s n_{i-s} - 1, n_i - 1)."""
+    """S-ary trees with a given vertical profile.  With d_i = sum_s n_{i-s},
+    where min S = -1 or ell = 0 this is the paper's product
+    (n_0 / (n_ell n_r)) C(d_0, n_0 - 1) prod_{i != 0} C(d_i - 1, n_i - 1),
+    and for every profile it is the configuration_sum with
+    off[i] = C(d_i, n_i - chi_{i=0}), on[i] = C(d_i - 1, n_i - chi_{i=0} - 1)
+    and arc = 1."""
     p = profile
-    _require_profile_hypotheses(step_set, p)
-    return [_marked_vertex(p),
-            ("level 0: C(sum_s n_-s, n_0 - 1)",
-             comb(neighbor_sum(p, step_set, 0), p.count(0) - 1)),
-            *((f"level {i}: C(sum_s n_{{i-s}} - 1, n_i - 1)",
-               comb(neighbor_sum(p, step_set, i) - 1, ni - 1))
-              for i, ni in p.items() if i != 0)]
+    d = _image_sums(step_set, p)
+    if _closed_form_applies(step_set, p):
+        return [_marked_vertex(p),
+                ("level 0: C(sum_s n_-s, n_0 - 1)", comb(d[0], p.count(0) - 1)),
+                *((f"level {i}: C(sum_s n_{{i-s}} - 1, n_i - 1)", comb(d[i] - 1, ni - 1))
+                  for i, ni in p.items() if i != 0)]
+    free = {i: ni - (i == 0) for i, ni in p.items()}
+    return [("configuration sum P_{ell,r} with off C(d_i, n_i - chi_{i=0}) "
+             "and on C(d_i - 1, n_i - chi_{i=0} - 1)", configuration_sum(
+                 step_set, p.ell, p.r, {i: comb(d[i], c) for i, c in free.items()},
+                 {i: comb(d[i] - 1, c - 1) for i, c in free.items()}, lambda _i, _s: 1))]
 
 
 def count_sary_profile(step_set: StepSet, profile: Profile) -> BigCount:
@@ -170,13 +227,6 @@ def count_binary_profile(profile: Profile) -> BigCount:
     """Binary trees with a given vertical profile: the S-ary count at
     S = {-1, 1}."""
     return count_sary_profile(StepSet([-1, 1]), profile)
-
-
-def _require_profile_hypotheses(step_set: StepSet, profile: Profile) -> None:
-    if profile.ell < 0 and step_set.m != -1:
-        raise HypothesisViolation(
-            f"profile with ell = {profile.ell} < 0 needs min S = -1, "
-            f"got min S = {step_set.m}")
 
 
 # ---------------------------------------------------------------------------
@@ -622,43 +672,27 @@ def _complete_fixed(step_set: StepSet, vertex_in_types: Mapping[Vertex, CVec],
 
 
 # ---------------------------------------------------------------------------
-# product formulas beyond min S = -1 (two explicit cases)
+# the paper's cases beyond min S = -1: instances of the general count
 # ---------------------------------------------------------------------------
 
-def _negative_ell_factors(step_set: StepSet, p: Profile,
-                          bracket: tuple[str, int]) -> Factors:
-    """(n!/prod n_i!) prod_{i=0}^{r-1} n_i prod_i (sum_s n_{i-s})^{n_i-1}
-    times the bracket of the given ell."""
-    return [("relabelings n!/prod n_i!", _multinomial(p.counts)),
-            ("prod_{i=0}^{r-1} n_i", math.prod(p.count(i) for i in range(0, p.r))),
-            *_image_choices(step_set, p), bracket]
+def _count_at_ell(step_set: StepSet, profile: Profile, ell: int) -> BigCount:
+    if profile.ell != ell:
+        raise HypothesisViolation(f"this formula needs ell = {ell}, got {profile.ell}")
+    return count_cayley_profile(step_set, profile)
 
 
 def count_cayley_profile_ell1(step_set: StepSet, profile: Profile) -> BigCount:
-    """S-embedded Cayley trees with ell = -1 (any S with max S = 1):
-    (n!/prod n_i!) prod_{i=0}^{r-1} n_i prod_i (sum_s n_{i-s})^{n_i-1}
+    """S-embedded Cayley trees with ell = -1 (count_cayley_profile); the
+    paper's product (n!/prod n_i!) prod_{i=0}^{r-1} n_i prod_i d_i^{n_i-1}
     (sum_{s<=-1} n_{-s-1})."""
-    p = profile
-    if p.ell != -1:
-        raise HypothesisViolation(f"this formula needs ell = -1, got {p.ell}")
-    bracket = sum(p.count(-s - 1) for s in step_set if s <= -1)
-    return product(_negative_ell_factors(
-        step_set, p, ("bracket sum_{s<=-1} n_{-s-1}", bracket)), "ell = -1 profile count")
+    return _count_at_ell(step_set, profile, -1)
 
 
 def count_cayley_profile_ell2(step_set: StepSet, profile: Profile) -> BigCount:
-    """S-embedded Cayley trees with ell = -2:
-    the same product with bracket n_-2 sum_{s<=-2} n_{-s-2}
+    """S-embedded Cayley trees with ell = -2 (count_cayley_profile); the
+    paper's product with bracket n_-2 sum_{s<=-2} n_{-s-2}
     + (sum_{s<=-1} n_{-s-2})(sum_{s<=-1} n_{-s-1})."""
-    p = profile
-    if p.ell != -2:
-        raise HypothesisViolation(f"this formula needs ell = -2, got {p.ell}")
-    bracket = p.count(-2) * sum(p.count(-s - 2) for s in step_set if s <= -2)
-    bracket += (sum(p.count(-s - 2) for s in step_set if s <= -1)
-                * sum(p.count(-s - 1) for s in step_set if s <= -1))
-    return product(_negative_ell_factors(step_set, p, (
-        "bracket n_-2 sum_{s<=-2} n_{-s-2} + (sum_{s<=-1} n_{-s-2})(sum_{s<=-1} n_{-s-1})",
-        bracket)), "ell = -2 profile count")
+    return _count_at_ell(step_set, profile, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -210,37 +210,31 @@ class ProfileLaw:
 def profile_law(n: int, family: str,
                 step_set: StepSet | None = None) -> ProfileLaw:
     """The law over all profiles of size n for family "binary", "sary"
-    (needs step_set), or "cayley" (needs step_set)."""
+    (needs step_set), or "cayley" (needs step_set).  Below min S = -1 a tree
+    can leave an abscissa empty; it has no Profile, so the law is over the
+    trees without an empty abscissa and total counts only those."""
     if family == "binary":
         if n > 14:
             raise HypothesisViolation("binary profile law guard: n <= 14")
         count = formulas.count_binary_profile
-        step = StepSet([-1, 1])
     elif family == "sary":
         if step_set is None:
             raise ValueError("sary law needs a step set")
         if n > 14:
             raise HypothesisViolation("S-ary profile law guard: n <= 14")
         count = lambda p: formulas.count_sary_profile(step_set, p)
-        step = step_set
     elif family == "cayley":
         if step_set is None:
             raise ValueError("cayley law needs a step set")
         if n > 8:
             raise HypothesisViolation("Cayley profile law guard: n <= 8")
         count = lambda p: formulas.count_cayley_profile(step_set, p)
-        step = step_set
     else:
         raise ValueError(f"unknown family {family!r}")
-    if step.m < -1:
-        raise HypothesisViolation(
-            "profile laws need min S >= -1 (no product formula below)")
 
     masses = []
     total = 0
     for p in enumerate_profiles(n):
-        if p.ell < 0 and step.m != -1:
-            continue  # steps never decrease abscissas: no such trees
         c = count(p)
         if c:
             masses.append(((p.ell, p.counts), c))

@@ -26,7 +26,6 @@ from embtrees import (
     eval_P_refined,
     eval_out_gf,
     laplacian_minor_det,
-    spanning_product_formula,
     spanning_trees_direct,
     tree_in_tree_det,
 )
@@ -129,6 +128,57 @@ class TestLemmaIdentity:
         assert eval_P_refined(g, y) == eval_P(g, y)
 
 
+def _enumerated_sum(configs, off, on, arc):
+    """The configuration sum term by term over the configurations listed by
+    enumerate_cycle_configurations."""
+    total = 0
+    for config in configs:
+        term = (-1) ** len(config)
+        covered = {v for verts, _arcs in config for v in verts}
+        for _verts, arcs in config:
+            for tail, s in arcs:
+                term *= arc(tail, s)
+        for i in off:
+            term *= on[i] if i in covered else off[i]
+        total += term
+    return total
+
+
+class TestRecurrence:
+    def test_equals_enumeration_on_random_graphs(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            m = rng.randint(-4, 1)
+            S = StepSet({m, 1} | {s for s in range(m, 1) if rng.random() < 0.5})
+            span = rng.randint(0, 10)
+            ell = -rng.randint(0, span)
+            g = CycleGraph(ell, ell + span, S)
+            levels = range(g.ell, g.r + 1)
+            y = {i: rng.randint(1, 12) for i in levels}
+            x = {(i, s): rng.randint(1, 7) for i in levels for s in S}
+            out = {(i, s): rng.randint(0, 4) for i in levels for s in S
+                   if g.ell <= i - s <= g.r}
+            on = {i: y[i] - (i == 0) for i in levels}
+            plain = {i: sum(y.get(i - s, 0) for s in S) for i in levels}
+            weighted = {i: sum(y.get(i - s, 0) * x[(i, s)] for s in S) for i in levels}
+            n = {i: (i == 0) + sum(out.get((i, s), 0) for s in S) for i in levels}
+            configs = list(enumerate_cycle_configurations(g))
+            assert eval_P(g, y) == _enumerated_sum(configs, plain, on, lambda i, s: 1)
+            assert eval_P_refined(g, y, x) == _enumerated_sum(
+                configs, weighted, on, lambda i, s: x[(i, s)]), (S, g.ell, g.r)
+            assert eval_P_out(g, out) == _enumerated_sum(
+                configs, n, dict.fromkeys(levels, 1), lambda i, s: out.get((i, s), 0))
+
+    def test_runs_past_the_enumeration_guard(self):
+        y = {i: 3 + i % 5 for i in range(-100, 101)}
+        for steps in ([-2, -1, 0, 1], [-1, 0, 1]):
+            g = CycleGraph(-100, 100, StepSet(steps))
+            with pytest.raises(BudgetExceeded):
+                next(enumerate_cycle_configurations(g))
+            assert isinstance(eval_P(g, y), Fraction)
+        assert eval_P(g, y) == closed_P(g, y)  # min S = -1: the closed form holds
+
+
 class TestBareiss:
     def test_small_integer_matrix(self):
         assert bareiss_determinant([[2, 1], [1, 2]]) == 3
@@ -188,14 +238,14 @@ class TestMatrixTree:
                 direct = spanning_trees_direct(p, S, w)
                 assert det == direct, (S, str(p))
 
-    def test_minor_equals_product_formula(self):
+    def test_minor_equals_generating_function(self):
         rng = random.Random(9)
-        for S in (PM, StepSet([-1, 0, 1])):
-            for p in profiles_up_to(8, nonneg=(S.m != -1) or None):
+        for S in (PM, StepSet([-1, 0, 1]), StepSet([-2, -1, 1])):
+            for p in profiles_up_to(8):
                 w = {(i, s): Fraction(rng.randint(1, 9))
                      for i in p.abscissas() for s in S}
-                assert laplacian_minor_det(p, S, w) == \
-                    spanning_product_formula(p, S, w), (S, str(p))
+                assert cayley_from_spanning(p, S, w) == eval_out_gf(S, p, w), \
+                    (S, str(p))
 
     def test_conversion_matches_gf_and_counts(self):
         rng = random.Random(13)
@@ -216,6 +266,16 @@ class TestMatrixTree:
             p = Profile(counts, ell=-rng.randint(1, k - 1) if negative else 0)
             assert count_cayley_profile(PM, p) == cayley_from_spanning(p, PM) \
                 == eval_out_gf(PM, p), str(p)
+        for steps in ([-2, -1, 1], [-3, -1, 1], [-3, -2, 0, 1]):
+            S = StepSet(steps)
+            k = rng.randint(5, 9)
+            cuts = sorted(rng.sample(range(1, n), k - 1))
+            counts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+            p = Profile(counts, ell=-rng.randint(3, k - 1))
+            w = {(i, s): Fraction(rng.randint(1, 9), rng.randint(1, 2))
+                 for i in p.abscissas() for s in S}
+            assert count_cayley_profile(S, p) == cayley_from_spanning(p, S), (steps, str(p))
+            assert eval_out_gf(S, p, w) == cayley_from_spanning(p, S, w), (steps, str(p))
 
 class TestTreeInTreeDet:
     def test_pins(self):

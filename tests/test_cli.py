@@ -60,6 +60,8 @@ class TestCount:
         ("cayley", "--steps", "0,1", "--profile", "3,2,2"),
         ("sary", "--steps", "-1,0,1", "--profile", "3,1;2,4"),
         ("sary", "--steps", "-2..1", "--profile", "1,2,3,1"),
+        ("cayley", "--steps", "-2,-1,1", "--profile", "1,1,1,2,1;1"),
+        ("sary", "--steps", "-2,-1,1", "--profile", "1,1,1,2,1;1"),
     ])
     def test_explain_rows_multiply_to_the_count(self, capsys, argv):
         code, out, _ = run(capsys, "count", *argv, "--explain")
@@ -73,10 +75,10 @@ class TestCount:
         assert len(rows) >= (0 if argv[-1] == "1" else 1)
 
     def test_hypothesis_exit_code(self, capsys):
-        code, _, err = run(capsys, "count", "sary", "--steps", "-2,-1,1",
-                           "--profile", "1,1,1,2,1;1")
+        code, _, err = run(capsys, "count", "sary", "--steps", "-1,2",
+                           "--profile", "1,1,2,1,1,1")
         assert code == 2
-        assert "min S" in err
+        assert "max step" in err
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "count", "cayley", "--steps", "0,1",

@@ -1,5 +1,6 @@
 """Closed-form counts against paper values and brute-force oracles."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -15,6 +16,7 @@ from embtrees import (
     Profile,
     StepSet,
     TargetTree,
+    CycleGraph,
     Vertex,
     VertexSet,
     count_binary_horizontal,
@@ -31,6 +33,7 @@ from embtrees import (
     count_sary_profile,
     count_tree_in_tree,
     count_tree_in_tree_oracle,
+    enumerate_cycle_configurations,
     enumerate_embedded_cayley,
     enumerate_sfunctions,
     eval_out_gf,
@@ -42,7 +45,7 @@ from embtrees.oracle import (
     compatible_out_distributions,
 )
 
-from conftest import profiles_up_to
+from conftest import compositions, profiles_of_size, profiles_up_to
 
 PM = StepSet([-1, 1])
 
@@ -74,11 +77,13 @@ class TestProfileCounts:
         assert count_sary_profile(StepSet([-1, 0, 1]), Profile.parse("1,1")) == 1
         assert count_sary_profile(StepSet([-1, 0, 1]), Profile.parse("1,2")) == 1
 
-    def test_hypothesis_violation(self):
-        with pytest.raises(HypothesisViolation):
-            count_cayley_profile(StepSet([-2, -1, 1]), Profile.parse("1,1,1,2,1;1"))
-        with pytest.raises(HypothesisViolation):
-            count_sary_profile(StepSet([-2, -1, 1]), Profile.parse("1;1"))
+    def test_counts_past_the_paper_hypothesis(self):
+        # min S = -2 and ell < 0: the criterion 2 profile, whose oracle
+        # counts are 808920 embedded trees and 107 S-ary trees
+        S = StepSet([-2, -1, 1])
+        p = Profile.parse("1,1,1,2,1;1")
+        assert count_cayley_profile(S, p) == 808920
+        assert count_sary_profile(S, p) == 107
 
     def test_pure_ascent_is_horizontal_profile(self):
         # with S = {1} the vertical profile is the horizontal one:
@@ -471,6 +476,25 @@ class TestFixedKinds:
                 Vertex(-1, 1): (0, 0, 0), Vertex(0, 1): (1, 0, 0)}, out={(-1, -1): 1})
 
 
+def _paper_bracket(S: StepSet, p: Profile) -> int:
+    """The paper's ell = -1 and ell = -2 brackets, written out by hand."""
+    n = p.count
+    if p.ell == -1:
+        return sum(n(-s - 1) for s in S if s <= -1)
+    assert p.ell == -2
+    return (n(-2) * sum(n(-s - 2) for s in S if s <= -2)
+            + sum(n(-s - 2) for s in S if s <= -1) * sum(n(-s - 1) for s in S if s <= -1))
+
+
+def _paper_negative_ell_count(S: StepSet, p: Profile) -> int:
+    """(n!/prod n_i!) prod_{i=0}^{r-1} n_i prod_i (sum_s n_{i-s})^{n_i-1}
+    times the bracket of ell = -1 or -2."""
+    relabelings = math.factorial(p.n) // math.prod(math.factorial(c) for c in p.counts)
+    return (relabelings * math.prod(p.count(i) for i in range(0, p.r))
+            * math.prod(sum(p.count(i - s) for s in S) ** (ni - 1) for i, ni in p.items())
+            * _paper_bracket(S, p))
+
+
 class TestBeyondMinusOne:
     def test_ell1_specializes(self):
         assert count_cayley_profile_ell1(PM, Profile.parse("2;2,1")) == 720
@@ -478,6 +502,15 @@ class TestBeyondMinusOne:
             if p.ell != -1:
                 continue
             assert count_cayley_profile_ell1(PM, p) == count_cayley_profile(PM, p)
+
+    def test_paper_brackets_are_instances(self):
+        at_ell = {-1: count_cayley_profile_ell1, -2: count_cayley_profile_ell2}
+        for steps in ([-2, -1, 1], [-2, -1, 0, 1], [-3, -1, 1]):
+            S = StepSet(steps)
+            for p in profiles_up_to(7):
+                if p.ell in at_ell:
+                    assert count_cayley_profile(S, p) == at_ell[p.ell](S, p) \
+                        == _paper_negative_ell_count(S, p), (steps, str(p))
 
     def test_ell1_oracle_min_step_minus_two(self):
         S = StepSet([-2, -1, 1])
@@ -498,6 +531,73 @@ class TestBeyondMinusOne:
             count_cayley_profile_ell1(PM, Profile.parse("1,1"))
         with pytest.raises(HypothesisViolation):
             count_cayley_profile_ell2(PM, Profile.parse("2;2,1"))
+
+
+S_221 = StepSet([-2, -1, 1])
+
+
+@functools.cache
+def _covered_runs(ell: int, r: int) -> list[tuple[int, frozenset]]:
+    """(number of cycles, vertices covered) of every configuration of the
+    runs of G_{ell,r}({-2,-1,1})."""
+    return [(len(config), frozenset(v for verts, _arcs in config for v in verts))
+            for config in enumerate_cycle_configurations(CycleGraph(ell, r, S_221))]
+
+
+def _expansion(ell: int, counts: list[int], family: str) -> int:
+    """The Lagrange-Good count of a profile that may have empty abscissas,
+    straight from the configurations: with e_i = n_i - chi_{i=0} - chi_{i in C}
+    and d_i = sum_s n_{i-s}, Cayley trees are n! sum_C (-1)^|C| prod d_i^e_i / e_i!
+    and S-ary trees sum_C (-1)^|C| prod C(d_i - chi_{i in C}, e_i)."""
+    r = ell + len(counts) - 1
+
+    def n(i):
+        return counts[i - ell] if ell <= i <= r else 0
+
+    total = 0
+    for k, covered in _covered_runs(ell, r):
+        term = (-1) ** k
+        for i in range(ell, r + 1):
+            e = n(i) - (i == 0) - (i in covered)
+            d = sum(n(i - s) for s in S_221) - (family == "sary" and i in covered)
+            if e < 0 or (family == "sary" and d < e):
+                term = 0
+                break
+            term *= Fraction(d ** e, math.factorial(e)) if family == "cayley" else math.comb(d, e)
+        total += term
+    return total * math.factorial(sum(counts)) if family == "cayley" else total
+
+
+def _gapped_profiles(n: int):
+    """(ell, counts) of size n with at least one empty abscissa, never two in
+    a row (a step of {-2,-1,1} skips one abscissa at most), and n_0 >= 1."""
+    for k in range(2, n + 1):
+        for parts in compositions(n, k):
+            for mask in range(1, 2 ** (k - 1)):
+                counts = [parts[0]]
+                for j, c in enumerate(parts[1:]):
+                    counts += [0, c] if mask >> j & 1 else [c]
+                for ell in range(1 - len(counts), 1):
+                    if counts[-ell]:
+                        yield ell, counts
+
+
+class TestClosuresBelowMinusOne:
+    """Over S = {-2,-1,1} a tree may leave an abscissa empty, and a Profile
+    has none, so the closures read: the library's counts over the profiles
+    plus the expansion over the gapped count vectors."""
+
+    def test_cayley_closure(self):
+        for n in range(1, 7):
+            total = sum(count_cayley_profile(S_221, p) for p in profiles_of_size(n))
+            total += sum(_expansion(ell, c, "cayley") for ell, c in _gapped_profiles(n))
+            assert total == n ** (n - 1) * 3 ** (n - 1), n
+
+    def test_sary_closure(self):
+        for n in range(1, 8):
+            total = sum(count_sary_profile(S_221, p) for p in profiles_of_size(n))
+            total += sum(_expansion(ell, c, "sary") for ell, c in _gapped_profiles(n))
+            assert total == math.comb(3 * n, n - 1) // n, n
 
 
 class TestTreeInTree:

@@ -161,8 +161,17 @@ class TestProfileLaw:
     def test_guards(self):
         with pytest.raises(HypothesisViolation):
             profile_law(15, "binary")
-        with pytest.raises(HypothesisViolation):
-            profile_law(4, "cayley", StepSet([-2, -1, 1]))
+
+    def test_law_below_minus_one_matches_oracle(self):
+        # trees that leave an abscissa empty have no Profile, so the law is
+        # over the gap-free trees: the total is the sum of the oracle counts
+        S = StepSet([-2, -1, 1])
+        law = profile_law(4, "cayley", S)
+        counts = {(p.ell, p.counts): sum(1 for _ in enumerate_embedded_cayley(S, p))
+                  for p in enumerate_profiles(4)}
+        assert law.total == sum(counts.values())
+        assert dict(law.masses) == {k: Fraction(c, law.total)
+                                    for k, c in counts.items() if c}
 
     def test_profile_enumeration_complete(self):
         # every law profile with positive mass is realized, and vice versa
