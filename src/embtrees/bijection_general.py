@@ -50,6 +50,7 @@ from .bijection_nonneg import (
     _cycles_by_abscissa,
     _frustrated,
     _functional_cycles,
+    _in_type_differs,
     _left_concatenations,
     _preimages,
     _record_pieces,
@@ -85,7 +86,7 @@ class WPartition:
 
 
 def _analyze(arcs: dict[Vertex, Vertex], vset: VertexSet) -> WPartition:
-    cycles = _functional_cycles(arcs)
+    cycles = _functional_cycles(arcs, vset)
     source: dict[Vertex, Vertex] = {}
     for cyc in cycles:
         for v in cyc:
@@ -311,7 +312,7 @@ def _psi1_inverse_arcs(tree: MarkedSTree, case: str, w0: Vertex
         arcs[Vertex(-1, 1)] = w0
         if case == "A3" and w0 != Vertex(0, 1):
             # w_0 sits on a cycle: cut the arc entering it, redirect onto 0^1
-            for cyc in _functional_cycles(arcs):
+            for cyc in _functional_cycles(arcs, tree.vertex_set):
                 if w0 in cyc:
                     x = cyc[cyc.index(w0) - 1]
                     arcs[x] = Vertex(0, 1)
@@ -397,7 +398,7 @@ def _psi2_swaps(tree: MarkedSTree, g: SFunction, case: str, w0: Vertex
         for v in tree.vertex_set.vertices():
             if v in seg_set or v in specials:
                 continue
-            assert sorted(f_pre.get(v, ())) == sorted(t_pre.get(v, ())), \
+            assert not _in_type_differs(f_pre, t_pre, v), \
                 f"vertex {v} off the marked segment must keep its in-type"
     if pairs:
         out = _swap_hanging_subtrees(out, pairs, [mark_path])

@@ -27,6 +27,7 @@ from .core import (
     SFunction,
     StepSet,
     Vertex,
+    VertexSet,
     condition_t,
     satisfies_condition_f,
     type_distribution_of,
@@ -82,12 +83,13 @@ class FrustrationRecord:
                 assert tag == expected, f"frustration tags out of order at {i}"
 
 
-def _functional_cycles(arcs: dict[Vertex, Vertex]) -> list[list[Vertex]]:
-    """Cycles of a functional digraph, each listed in arc order starting at
-    its smallest vertex."""
+def _functional_cycles(arcs: dict[Vertex, Vertex], vset: VertexSet
+                       ) -> list[list[Vertex]]:
+    """Cycles of a functional digraph on vset, each listed in arc order
+    starting at its smallest vertex, by increasing smallest vertex."""
     color: dict[Vertex, int] = {}
     cycles = []
-    for start in sorted(arcs):
+    for start in vset.vertices():  # in increasing order
         if start in color:
             continue
         path = []
@@ -185,8 +187,8 @@ def _phi1_with_pieces(f: SFunction) -> tuple[MarkedSTree, list[Piece]]:
         raise PreconditionViolated("phi1 needs condition (F)")
     r = f.profile.r
     arcs = _cut_spine(f)
-    left = _left_concatenations(arcs, _cycles_by_abscissa(_functional_cycles(arcs)),
-                                0, r, f.step_set)
+    cycles = _functional_cycles(arcs, f.vertex_set)
+    left = _left_concatenations(arcs, _cycles_by_abscissa(cycles), 0, r, f.step_set)
     pieces = [pc for i in range(r, -1, -1) for pc in left[i]]
     assert pieces[-1].source == Vertex(0, 1)
     tree = MarkedSTree(f.vertex_set, f.step_set, arcs, root=Vertex(0, 1),
@@ -261,10 +263,18 @@ def _frustrated(f_pre: dict[Vertex, list[int]], t_pre: dict[Vertex, list[int]],
         record = low is None or v < low
         if record:
             low = v
-        if v not in skip and sorted(f_pre.get(v, ())) != sorted(t_pre.get(v, ())):
+        if v not in skip and _in_type_differs(f_pre, t_pre, v):
             assert record, f"frustrated vertex {v} is not a lower record"
             frustrated.setdefault(v.i, []).append(v)
     return frustrated
+
+
+def _in_type_differs(f_pre: dict[Vertex, list[int]], t_pre: dict[Vertex, list[int]],
+                     v: Vertex) -> bool:
+    """Whether v's preimage abscissas differ as multisets; equal lists
+    need no sort."""
+    fin, tin = f_pre.get(v, ()), t_pre.get(v, ())
+    return fin != tin and sorted(fin) != sorted(tin)
 
 
 def _consecutive_pairs(frustrated: dict[int, list[Vertex]]) -> list[tuple[Vertex, Vertex]]:

@@ -17,6 +17,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # Sentinel step value for the out-type of the root (distinct from every int).
@@ -259,6 +260,12 @@ class VertexSet:
     def members(self) -> frozenset[Vertex]:
         return frozenset(self._flat)
 
+    @cached_property
+    def abscissa(self) -> dict[Vertex, int]:
+        """v -> v.i for every vertex: one map shared by every function and
+        tree on this vertex set."""
+        return {v: v.i for v in self._flat}
+
     def vertices(self) -> tuple[Vertex, ...]:
         """Every vertex, in the total order of the construction."""
         return self._flat
@@ -311,10 +318,11 @@ class SFunction:
         if (Vertex(0, 1) in self.image or len(self.image) != vset.n - 1
                 or not verts.issuperset(self.image)):
             raise PreconditionViolated("image must be defined exactly on V \\ {0^1}")
+        steps = self.step_set.steps
         for v, w in self.image.items():
             if w not in verts:
                 raise PreconditionViolated(f"image {w} of {v} outside V")
-            if (v.i - w.i) not in self.step_set:
+            if (v.i - w.i) not in steps:
                 raise PreconditionViolated(
                     f"arc {v} -> {w} is not an S-edge (step {v.i - w.i})")
 
@@ -410,8 +418,9 @@ class MarkedSTree:
             raise PreconditionViolated("parent must be defined exactly on V \\ {root}")
         if not is_tree(self.parent, self.root):
             raise PreconditionViolated("parent map is not a tree")
+        steps = self.step_set.steps
         for v, w in self.parent.items():
-            if (v.i - w.i) not in self.step_set:
+            if (v.i - w.i) not in steps:
                 raise PreconditionViolated(
                     f"tree edge {v} -> {w} is not an S-edge (step {v.i - w.i})")
 
@@ -575,8 +584,9 @@ class EmbeddedCayleyTree:
             raise PreconditionViolated("root must sit at abscissa 0")
         if not is_tree(self.parent, self.root):
             raise PreconditionViolated("parent map is not a tree")
+        absc, steps = self.abscissa, self.step_set.steps
         for v, w in self.parent.items():
-            if (self.abscissa[v] - self.abscissa[w]) not in self.step_set:
+            if (absc[v] - absc[w]) not in steps:
                 raise PreconditionViolated(f"edge {v} -> {w} has step outside S")
 
     def profile(self) -> Profile:
@@ -694,9 +704,9 @@ CVec = tuple[int, ...]
 
 
 def _arcs(obj: "SFunction | MarkedSTree | EmbeddedCayleyTree | SAryTree"):
-    """(vertices, abscissa, parent, root) of a function or tree: the one
-    place that knows how each kind stores its arcs.  The root of an
-    S-function is 0^1, and S-ary nodes are numbered 0, 1, ... from the root."""
+    """(abscissa, parent, root) of a function or tree: the one place that
+    knows how each kind stores its arcs.  The root of an S-function is 0^1,
+    and S-ary nodes are numbered 0, 1, ... from the root."""
     if isinstance(obj, SAryTree):
         absc, parent, stack = {0: obj.abscissa}, {}, [(obj, 0)]
         while stack:
@@ -705,26 +715,38 @@ def _arcs(obj: "SFunction | MarkedSTree | EmbeddedCayleyTree | SAryTree"):
                 cid = len(absc)
                 absc[cid], parent[cid] = child.abscissa, vid
                 stack.append((child, cid))
-        return range(len(absc)), absc, parent, 0
+        return absc, parent, 0
     if isinstance(obj, EmbeddedCayleyTree):
-        return range(1, obj.n + 1), obj.abscissa, obj.parent, obj.root
-    verts = obj.vertex_set.vertices()
-    absc = {v: v.i for v in verts}
+        return obj.abscissa, obj.parent, obj.root
+    absc = obj.vertex_set.abscissa
     if isinstance(obj, SFunction):
-        return verts, absc, obj.image, Vertex(0, 1)
-    return verts, absc, obj.parent, obj.root
+        return absc, obj.image, Vertex(0, 1)
+    return absc, obj.parent, obj.root
 
 
-def _cvecs(vertices, abscissa, parent, m: int) -> dict:
-    """The dense c-vector of every vertex: its children (pre-images, in a
-    function) counted by step s at index s - m, for the steps m..1."""
-    zeros = [0] * (2 - m)
-    cvecs = {v: zeros.copy() for v in vertices}
+def _codes(abscissa, parent, m: int) -> tuple[dict, int]:
+    """(codes, base): the c-vector of every vertex with children (pre-images,
+    in a function) packed into one integer, whose digit s - m in base
+    len(parent) + 1 (more than any vertex has children) is the number of
+    children at step s.  A vertex without children is absent: its code is 0."""
+    base = len(parent) + 1
+    weight = [base ** d for d in range(2 - m)]
+    codes: dict = {}
+    get = codes.get
     for v, w in parent.items():
         s = abscissa[v] - abscissa[w]
         assert m <= s <= 1, f"step {s} outside [{m}, 1]"
-        cvecs[w][s - m] += 1
-    return cvecs
+        codes[w] = get(w, 0) + weight[s - m]
+    return codes, base
+
+
+def _digits(code: int, base: int, width: int) -> CVec:
+    """The dense c-vector (c^m, ..., c^1) that a _codes integer packs."""
+    cvec = []
+    for _ in range(width):
+        code, digit = divmod(code, base)
+        cvec.append(digit)
+    return tuple(cvec)
 
 
 def _children(in_types: Iterable, m: int) -> dict[tuple[int, int], int]:
@@ -741,7 +763,7 @@ def _children(in_types: Iterable, m: int) -> dict[tuple[int, int], int]:
 
 def is_injective(obj: "SFunction | MarkedSTree | EmbeddedCayleyTree") -> bool:
     """No two children (pre-images, in a function) of a vertex share a step."""
-    _verts, absc, parent, _root = _arcs(obj)
+    absc, parent, _root = _arcs(obj)
     return len({(w, absc[v]) for v, w in parent.items()}) == len(parent)
 
 
@@ -749,29 +771,39 @@ def vertex_type(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction", v,
                 m: int | None = None) -> tuple[int, object, CVec]:
     """The complete type (i; s; c) of one vertex; s is the EPS sentinel for
     the root (or for 0^1 in a function)."""
-    verts, absc, parent, root = _arcs(obj)
-    cvec = _cvecs(verts, absc, parent, obj.step_set.m if m is None else m)[v]
+    absc, parent, root = _arcs(obj)
+    m = obj.step_set.m if m is None else m
+    codes, base = _codes(absc, parent, m)
+    cvec = _digits(codes.get(v, 0), base, 2 - m)
     s = EPS if v == root else absc[v] - absc[parent[v]]
-    return absc[v], s, tuple(cvec)
+    return absc[v], s, cvec
 
 
 def sary_from_injective(tree: MarkedSTree | EmbeddedCayleyTree) -> SAryTree:
     """Canonical S-ary shape of an injective tree (names dropped); raises
-    NotInjective if two children of a vertex share a step."""
-    verts, absc, parent, root = _arcs(tree)
-    children: dict = {v: [] for v in verts}
+    NotInjective if two children of a vertex share a step.  Nodes are
+    immutable, so the leaves at one abscissa share one node."""
+    absc, parent, root = _arcs(tree)
+    children: dict = {}
     for v, w in parent.items():
-        children[w].append(v)
+        children.setdefault(w, []).append(v)
     order = [root]
     for v in order:  # breadth first, so every child comes after its parent
-        order.extend(children[v])
+        order.extend(children.get(v, ()))
+    leaves: dict[int, SAryTree] = {}
     built: dict = {}
     for v in reversed(order):
-        steps = [absc[c] - absc[v] for c in children[v]]
-        if len(set(steps)) < len(steps):
-            raise NotInjective(f"two children of {v} share a step")
-        kids = sorted(zip(steps, (built.pop(c) for c in children[v])))
-        built[v] = SAryTree(absc[v], tuple(kids))
+        a = absc[v]
+        kids = children.get(v)
+        if kids is None:
+            node = leaves.get(a) or leaves.setdefault(a, SAryTree(a))
+        else:
+            pairs = sorted(((absc[c] - a, built.pop(c)) for c in kids), key=itemgetter(0))
+            for (s, _c), (t, _d) in zip(pairs, pairs[1:]):
+                if s == t:
+                    raise NotInjective(f"two children of {v} share a step")
+            node = SAryTree(a, tuple(pairs))
+        built[v] = node
     return built[root]
 
 
@@ -819,39 +851,41 @@ class TypeDistribution:
 
 
 def _check_distribution(dist: TypeDistribution) -> None:
-    """Check the three compatibility identities of a census: each family sums
-    both sides per abscissa or per (i, s) and compares them wherever either
-    side is nonzero, so the check costs O(r + |types|)."""
+    """Check the three compatibility identities of a census: each family is
+    one pass over its table that sums both sides per abscissa or per (i, s),
+    then compares them wherever either side is nonzero, so the check costs
+    O(r + |types|)."""
     m = dist.m
-    prof = dist.profile()
-    out = dist.out
     # n_i = chi_{i=0} + sum_s n(i,s)
-    out_at: dict[int, int] = {}
-    for (j, _s), c in out.items():
+    out_at: dict[int, int] = {0: 1}
+    for (j, _s), c in dist.out.items():
         out_at[j] = out_at.get(j, 0) + c
+    prof = dist.profile()
     for i in prof.abscissas():
-        if (1 if i == 0 else 0) + out_at.get(i, 0) != prof.count(i):
+        if out_at.get(i, 0) != prof.count(i):
             raise IncompatibleDistribution(f"out counts at abscissa {i} do not match")
-    # chi_{i=0} + sum_{s,c} c^s n(i-s, c) = sum_c n(i, c)
-    inn = dist.inn
-    children_at: dict[int, int] = {0: 1}
-    for (i, _s), c in _children(inn.items(), m).items():
-        children_at[i] = children_at.get(i, 0) + c
-    in_at: dict[int, int] = {}
-    for (i, _cv), c in inn.items():
-        in_at[i] = in_at.get(i, 0) + c
-    for i in sorted(children_at.keys() | in_at.keys()):
-        if children_at.get(i, 0) != in_at.get(i, 0):
+    # chi_{i=0} + sum_{s,c} c^s n(i-s, c) = sum_c n(i, c): left minus right
+    gap: dict[int, int] = {0: 1}
+    for (j, cv), c in dist.inn.items():
+        gap[j] = gap.get(j, 0) - c
+        for idx, b in enumerate(cv):
+            if b:
+                gap[j + m + idx] = gap.get(j + m + idx, 0) + b * c
+    for i in sorted(gap):
+        if gap[i]:
             raise IncompatibleDistribution(f"in counts at abscissa {i} do not match")
-    # chi_{i=s} c_0^s + sum_{t,c} c^s n(i-s,t,c) = sum_c n(i,s,c)
-    in_types = [((0, dist.root_in_type), 1)]  # the root, at abscissa 0
-    rhs: dict[tuple[int, int], int] = {}
-    for (j, t, cv), c in dist.complete.items():
-        in_types.append(((j, cv), c))
-        rhs[(j, t)] = rhs.get((j, t), 0) + c
-    lhs = _children(in_types, m)
-    for (i, s) in lhs.keys() | rhs.keys():
-        if lhs.get((i, s), 0) != rhs.get((i, s), 0):
+    # chi_{i=s} c_0^s + sum_{t,c} c^s n(i-s,t,c) = sum_c n(i,s,c): left minus
+    # right, with the root (no out-type) at abscissa 0
+    gaps: dict[tuple[int, int], int] = {}
+    for (j, t, cv), c in [((0, EPS, dist.root_in_type), 1), *dist.complete.items()]:
+        if t != EPS:
+            gaps[(j, t)] = gaps.get((j, t), 0) - c
+        for idx, b in enumerate(cv):
+            if b:
+                key = (j + m + idx, m + idx)
+                gaps[key] = gaps.get(key, 0) + b * c
+    for (i, s), diff in gaps.items():
+        if diff:
             raise IncompatibleDistribution(f"complete counts at ({i},{s}) do not match")
 
 
@@ -864,30 +898,49 @@ def type_distribution_of(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction | SA
     object's step set (for S-ary trees it must be given); pass a smaller m to
     embed into a wider interval.  check=False skips the compatibility-identity
     validation (bulk sweeps).
+
+    Each non-root vertex is counted once, on the integer key
+    ((i * width + s - m) * span + code) of its complete type, where code is
+    its _codes c-vector and span = base**width bounds every code; floor
+    division recovers (i, s - m, code) for negative i too.  The out- and
+    in-type counts are sums over the complete ones, and each distinct code
+    is unpacked to its tuple once.
     """
     if m is None and isinstance(obj, SAryTree):
         raise ValueError("S-ary trees need an explicit m")
     m = obj.step_set.m if m is None else m
-    verts, absc, parent, root = _arcs(obj)
-    cvecs = _cvecs(verts, absc, parent, m)
-    out: dict[tuple[int, int], int] = {}
-    inn: dict[tuple[int, CVec], int] = {}
-    comp: dict[tuple[int, int, CVec], int] = {}
-    for v in verts:
+    absc, parent, root = _arcs(obj)
+    codes, base = _codes(absc, parent, m)
+    width = 2 - m
+    span = base ** width
+    get = codes.get
+    keys: dict[int, int] = {}
+    for v, w in parent.items():
         i = absc[v]
-        cv = tuple(cvecs[v])
-        inn[(i, cv)] = inn.get((i, cv), 0) + 1
-        if v != root:
-            s = i - absc[parent[v]]
-            out[(i, s)] = out.get((i, s), 0) + 1
-            comp[(i, s, cv)] = comp.get((i, s, cv), 0) + 1
+        key = (i * width + i - absc[w] - m) * span + get(v, 0)
+        keys[key] = keys.get(key, 0) + 1
+
+    cvecs: dict[int, CVec] = {}
+    out: dict[tuple[int, int], int] = {}
+    comp: dict[tuple[int, int, CVec], int] = {}
+    root_cv = cvecs[get(root, 0)] = _digits(get(root, 0), base, width)
+    inn: dict[tuple[int, CVec], int] = {(absc[root], root_cv): 1}
+    for key, c in keys.items():
+        pos, code = divmod(key, span)
+        i, d = divmod(pos, width)
+        cv = cvecs.get(code)
+        if cv is None:
+            cv = cvecs[code] = _digits(code, base, width)
+        comp[(i, d + m, cv)] = c
+        out[(i, d + m)] = out.get((i, d + m), 0) + c
+        inn[(i, cv)] = inn.get((i, cv), 0) + c
 
     dist = TypeDistribution(
         m=m,
         out_counts=tuple(sorted(out.items())),
         in_counts=tuple(sorted(inn.items())),
         complete_counts=tuple(sorted(comp.items())),
-        root_in_type=tuple(cvecs[root]),
+        root_in_type=root_cv,
     )
     if check:
         _check_distribution(dist)

@@ -29,7 +29,8 @@ from .core import (
     Vertex,
     VertexSet,
     _arcs,
-    _cvecs,
+    _codes,
+    _digits,
     condition_t,
     condition_t1,
     condition_t2,
@@ -178,9 +179,11 @@ def _matches_constraint(f: SFunction, constraint: tuple) -> bool:
     if kind == "out_types":
         return all(f.image[v].i == v.i - s for v, s in want.items())
     if kind == "in_types":
-        verts, absc, parent, _root = _arcs(f)
-        cvecs = _cvecs(verts, absc, parent, f.step_set.m)
-        return all(tuple(cvecs[v]) == tuple(cv) for v, cv in want.items())
+        absc, parent, _root = _arcs(f)
+        m = f.step_set.m
+        codes, base = _codes(absc, parent, m)
+        return all(_digits(codes.get(v, 0), base, 2 - m) == tuple(cv)
+                   for v, cv in want.items())
     dist = type_distribution_of(f, check=False)
     if kind == "out_counts":
         return dist.out_key() == tuple(sorted((k, c) for k, c in want.items() if c))
@@ -696,6 +699,49 @@ def sweep_embedded_censuses(step_set: StepSet, n: int,
 
         assign(1)
     return result
+
+
+def sweep_target_censuses(adj: dict[int, list[int]], root_node: int, n: int,
+                          budget: EnumerationBudget | None = None
+                          ) -> dict[tuple[int, ...], int]:
+    """Census of the root-preserving morphisms from ALL rooted Cayley trees
+    on 1..n to the target tree with adjacency `adj` (node -> neighbours; a
+    single node lists itself): result[(c_node for node in sorted(adj))] is
+    the number of (tree, morphism) pairs that send c_node vertices to each
+    node.
+
+    The search depends on a tree only through `up`, the DFS parent
+    positions of _traversals, so it runs once per distinct `up` (one per
+    plane shape: 132 at n = 7, against 7^6 trees) and each of its
+    morphisms counts once for every tree that shares that `up`.
+    """
+    budget = _budget(budget)
+    budget.check_size(n)
+    trees_of: dict[tuple[int, ...], int] = {}
+    for _root, _pairs, _order, up in _traversals(n):
+        trees_of[up] = trees_of.get(up, 0) + 1
+    slot = {node: j for j, node in enumerate(sorted(adj))}
+    census: dict[tuple[int, ...], int] = {}
+    for up, trees in trees_of.items():
+        budget.charge(n)
+        place = [root_node] * n  # place[k] is the node of the k-th DFS vertex
+        counts = [0] * len(slot)
+        counts[slot[root_node]] = 1
+
+        def assign(k: int) -> None:
+            budget.charge()
+            if k == n:
+                key = tuple(counts)
+                census[key] = census.get(key, 0) + trees
+                return
+            for q in adj[place[up[k]]]:
+                place[k] = q
+                counts[slot[q]] += 1
+                assign(k + 1)
+                counts[slot[q]] -= 1
+
+        assign(1)
+    return census
 
 
 def enumerate_target_embeddings(target, budget: EnumerationBudget | None = None

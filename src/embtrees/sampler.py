@@ -114,21 +114,20 @@ def _relabel_uniform(tree: MarkedSTree, rng: random.Random
     a uniform order-consistent assignment of labels 1..n."""
     p = tree.profile
     levels = tree.vertex_set.levels
-    rename: dict[Vertex, Vertex] = {}
-    for level in levels.values():
-        k = rng.randrange(len(level))
-        rename[level[0]] = level[k]
-        rename[level[k]] = level[0]
+    swaps = [(level[0], level[rng.randrange(len(level))]) for level in levels.values()]
     # choose which labels land at each abscissa, uniformly
     labels = list(range(1, p.n + 1))
     rng.shuffle(labels)
-    assignment: dict[Vertex, int] = {}
+    label: dict[Vertex, int] = {}
+    abscissa: dict[int, int] = {}
     start = 0
-    for level in levels.values():
-        assignment.update(zip(level, sorted(labels[start:start + len(level)])))
+    for i, level in levels.items():
+        chosen = sorted(labels[start:start + len(level)])
+        label.update(zip(level, chosen))
+        abscissa.update(dict.fromkeys(chosen, i))
         start += len(level)
-    label = {v: assignment[rename.get(v, v)] for v in tree.vertex_set.vertices()}
-    abscissa = {label[v]: v.i for v in tree.vertex_set.vertices()}
+    for u, v in swaps:  # the renaming exchanges the labels of i^1 and i^k
+        label[u], label[v] = label[v], label[u]
     out_parent = {label[v]: label[par] for v, par in tree.parent.items()}
     root_label = label[tree.root]
     return EmbeddedCayleyTree(p.n, root_label, out_parent, abscissa,

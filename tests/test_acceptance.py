@@ -78,8 +78,8 @@ from embtrees.oracle import (
     compatible_complete_distributions,
     compatible_in_distributions,
     compatible_out_distributions,
-    rooted_cayley_trees,
     sweep_embedded_censuses,
+    sweep_target_censuses,
 )
 
 MAX_N = 6
@@ -507,44 +507,6 @@ def test_criterion_7_sampler_statistics():
 # criterion 8: trees embedded in trees
 # ---------------------------------------------------------------------------
 
-def _morphism_census(adj: dict[int, list[int]], root_node: int, n: int) -> dict:
-    """Brute force: bucket all rooted Cayley trees with a root-preserving
-    morphism to the target by their multiplicity vector."""
-    census: dict = {}
-    nodes = sorted(adj)
-    for root, pairs in rooted_cayley_trees(n):
-        parent = dict(pairs)
-        children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        for v, w in pairs:
-            children[w].append(v)
-        order = [root]
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for c in children[v]:
-                order.append(c)
-                stack.append(c)
-        place = {root: root_node}
-        counts = {node: 0 for node in nodes}
-        counts[root_node] = 1
-
-        def assign(idx: int) -> None:
-            if idx == len(order):
-                key = tuple(counts[node] for node in nodes)
-                census[key] = census.get(key, 0) + 1
-                return
-            v = order[idx]
-            for node in adj[place[parent[v]]]:
-                counts[node] += 1
-                place[v] = node
-                assign(idx + 1)
-                del place[v]
-                counts[node] -= 1
-
-        assign(1)
-    return census
-
-
 def test_criterion_8_tree_in_tree():
     t0 = time.time()
     checked = 0
@@ -558,7 +520,7 @@ def test_criterion_8_tree_in_tree():
         if k == 1:
             adj[root_node].append(root_node)
         for n in range(k, 8):
-            census = _morphism_census(adj, root_node, n)
+            census = sweep_target_censuses(adj, root_node, n)
             for counts in compositions(n, k):
                 target = TargetTree.of(root_node, edges,
                                        dict(zip(nodes, counts)))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,12 +15,17 @@ from embtrees import (
     NotInjective,
     PreconditionViolated,
     Profile,
+    SAryTree,
     SFunction,
     StepSet,
+    TypeDistribution,
     Vertex,
     VertexSet,
     is_injective,
+    phi,
+    psi,
     sample_embedded_cayley,
+    sample_sfunction,
     sary_from_injective,
     satisfies_condition_f,
     type_distribution_of,
@@ -172,6 +178,120 @@ class TestTypeDistribution:
                 type_distribution_of(obj, m=S.m, check=True)
                 checked += 1
         assert checked == 3197 + 3197 + 52441 + 344
+
+
+def _reference_census(obj, m=None):
+    """The census as first written: a dense c-vector list per vertex and
+    tuple keys counted vertex by vertex; the reference for the integer-keyed
+    type_distribution_of."""
+    m = obj.step_set.m if m is None else m
+    if isinstance(obj, SAryTree):
+        absc, parent, stack = {}, {}, [(obj, None)]
+        while stack:
+            node, up = stack.pop()
+            vid = len(absc)
+            absc[vid] = node.abscissa
+            if up is not None:
+                parent[vid] = up
+            stack.extend((child, vid) for _s, child in node.children)
+        verts, root = list(absc), 0
+    elif isinstance(obj, EmbeddedCayleyTree):
+        verts, absc, parent, root = range(1, obj.n + 1), obj.abscissa, obj.parent, obj.root
+    else:
+        verts = obj.vertex_set.vertices()
+        absc = {v: v.i for v in verts}
+        if isinstance(obj, SFunction):
+            parent, root = obj.image, Vertex(0, 1)
+        else:
+            parent, root = obj.parent, obj.root
+    cvecs = {v: [0] * (2 - m) for v in verts}
+    for v, w in parent.items():
+        cvecs[w][absc[v] - absc[w] - m] += 1
+    out, inn, comp = Counter(), Counter(), Counter()
+    for v in verts:
+        i, cv = absc[v], tuple(cvecs[v])
+        inn[(i, cv)] += 1
+        if v != root:
+            s = i - absc[parent[v]]
+            out[(i, s)] += 1
+            comp[(i, s, cv)] += 1
+    return TypeDistribution(m, tuple(sorted(out.items())), tuple(sorted(inn.items())),
+                            tuple(sorted(comp.items())), tuple(cvecs[root]))
+
+
+class TestIntegerCensus:
+    """type_distribution_of, counted on packed integer keys, equals the
+    tuple-keyed reference census."""
+
+    # min S from 0 to -3: c-vectors of 2 to 5 digits
+    STEP_SETS = [StepSet(s) for s in ([0, 1], [-1, 1], [-1, 0, 1], [-2, -1, 1],
+                                      [-3, -1, 1])]
+
+    @staticmethod
+    def assert_same(obj, m=None):
+        assert type_distribution_of(obj, m=m) == _reference_census(obj, m)
+
+    @pytest.mark.parametrize("S", STEP_SETS, ids=str)
+    def test_every_small_object(self, S):
+        for p in profiles_up_to(5, nonneg=(S.m != -1) or None):
+            regime = "nonneg" if p.ell == 0 else "general"
+            for obj in [*enumerate_sfunctions(S, p, regime),
+                        *enumerate_marked_strees(S, p, regime)]:
+                self.assert_same(obj)
+        for p in profiles_up_to(5):
+            for obj in enumerate_embedded_cayley(S, p):
+                self.assert_same(obj)
+
+    def test_explicit_m_below_min_s(self):
+        S = StepSet([-1, 0, 1])
+        for p in profiles_up_to(4):
+            regime = "nonneg" if p.ell == 0 else "general"
+            for obj in [*enumerate_sfunctions(S, p, regime),
+                        *enumerate_embedded_cayley(S, p)]:
+                for m in (-2, -4):
+                    self.assert_same(obj, m)
+
+    def test_sary_trees(self):
+        for S in self.STEP_SETS:
+            for p in profiles_up_to(5):
+                for t in enumerate_sary(S, p):
+                    self.assert_same(t, S.m)
+                    self.assert_same(t, S.m - 1)
+
+    @pytest.mark.parametrize("steps, step", [([-1, 0, 1], -1), ([-3, -1, 0, 1], -1),
+                                             ([-3, -1, 0, 1], 0), ([-3, -1, 0, 1], 1)],
+                             ids=str)
+    def test_star_has_the_largest_digit(self, steps, step):
+        # every child on one step: a digit of n - 1 = base - 1
+        S = StepSet(steps)
+        for n in (2, 3, 9, 40):
+            star = EmbeddedCayleyTree(n, 1, {v: 1 for v in range(2, n + 1)},
+                                      {v: 0 if v == 1 else step for v in range(1, n + 1)}, S)
+            d = type_distribution_of(star)
+            assert d == _reference_census(star)
+            cvec = [0] * (2 - S.m)
+            cvec[step - S.m] = n - 1
+            assert d.root_in_type == tuple(cvec)
+
+    @pytest.mark.parametrize("shape", ["thin", "wide"])
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_seeded_samples_at_scale(self, shape, ell):
+        S = StepSet([-1, 0, 1])
+        rng = random.Random(f"{shape}:{ell}")
+        n = 2000
+        if shape == "thin":
+            counts = [rng.randint(1, 3) for _ in range(n // 2)]
+            counts[-1] += n - sum(counts)
+            if counts[-1] < 1:
+                counts = counts[:-1] + [1]
+        else:
+            counts = [n // 5] * 5
+        ell = -(len(counts) // 3) if ell else 0
+        p = Profile(counts, ell=ell)
+        f = sample_sfunction(S, p, "general" if ell else "nonneg", seed=7)
+        tree = phi(f) if ell == 0 else psi(f)
+        for obj in (f, tree, sample_embedded_cayley(S, p, seed=7)):
+            self.assert_same(obj)
 
 
 def _reference_check(dist):

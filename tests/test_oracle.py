@@ -29,9 +29,10 @@ from embtrees.oracle import (
     dump_ndjson,
     rooted_cayley_trees,
     sweep_embedded_censuses,
+    sweep_target_censuses,
 )
 
-from conftest import ALL_STEP_SETS, profiles_up_to
+from conftest import ALL_STEP_SETS, ROOTED_TARGET_SHAPES, profiles_up_to
 
 PM = StepSet([-1, 1])
 
@@ -157,6 +158,10 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             sweep_embedded_censuses(PM, 4, ("out", "in"), budget)
 
+    def test_target_sweep_size_guard(self):
+        with pytest.raises(BudgetExceeded):
+            sweep_target_censuses({0: [0]}, 0, 5, EnumerationBudget(max_size=4))
+
     def test_each_sweep_is_metered_alone(self, monkeypatch):
         charged = []
         charge = EnumerationBudget.charge
@@ -178,6 +183,60 @@ class TestBudget:
             sweep_embedded_censuses(
                 PM, 4, ("out",),
                 EnumerationBudget(max_size=10, max_candidates=steps - 1))
+
+
+class TestTargetSweep:
+    @pytest.mark.parametrize("edges, root_node", ROOTED_TARGET_SHAPES, ids=str)
+    def test_shape_sweep_matches_every_tree(self, edges, root_node):
+        nodes = sorted({v for e in edges for v in e} | {root_node})
+        adj = {v: [] for v in nodes}
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        if len(nodes) == 1:
+            adj[root_node].append(root_node)
+        for n in range(1, 6):
+            assert sweep_target_censuses(adj, root_node, n) == \
+                _morphism_census(adj, root_node, n), n
+
+
+def _morphism_census(adj: dict[int, list[int]], root_node: int, n: int) -> dict:
+    """Brute force: bucket all rooted Cayley trees with a root-preserving
+    morphism to the target by their multiplicity vector, one search per
+    tree; the reference for the per-shape sweep_target_censuses."""
+    census: dict = {}
+    nodes = sorted(adj)
+    for root, pairs in rooted_cayley_trees(n):
+        parent = dict(pairs)
+        children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+        for v, w in pairs:
+            children[w].append(v)
+        order = [root]
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for c in children[v]:
+                order.append(c)
+                stack.append(c)
+        place = {root: root_node}
+        counts = {node: 0 for node in nodes}
+        counts[root_node] = 1
+
+        def assign(idx: int) -> None:
+            if idx == len(order):
+                key = tuple(counts[node] for node in nodes)
+                census[key] = census.get(key, 0) + 1
+                return
+            v = order[idx]
+            for node in adj[place[parent[v]]]:
+                counts[node] += 1
+                place[v] = node
+                assign(idx + 1)
+                del place[v]
+                counts[node] -= 1
+
+        assign(1)
+    return census
 
 
 class TestCensus:
