@@ -1,13 +1,13 @@
 """Size ladder of the uniform sampler, stage by stage: writes BENCH_sampler.json.
 
-    python3 scripts/bench_sampler.py                  # writes ./BENCH_sampler.json
-    python3 scripts/bench_sampler.py --out FILE --sizes 1000,10000
+    python3 scripts/bench_sampler.py      # writes BENCH_sampler.json
 
-Run it from the root of a checkout; it imports embtrees from ./src.  Every
-point is measured twice, in a fresh interpreter with asserts on (the
-default, which the CLI, the demos and the tests use) and in one under -O.
+It imports embtrees from the src/ of its own checkout and writes
+BENCH_sampler.json at that checkout's root.  Every point is measured twice,
+in a fresh interpreter with asserts on (the default, which the CLI, the
+demos and the tests use) and in one under -O.
 
-For S = {-1,0,1}, each size n and each profile shape:
+For S = {-1,0,1}, each size n in SIZES and each profile shape:
   thin  1-3 vertices per abscissa (about n/2 abscissas),
   sqrt  isqrt(n) abscissas of about isqrt(n) vertices each,
   wide  5 abscissas of n/5 vertices each,
@@ -21,14 +21,13 @@ stage by stage, exactly as sample_embedded_cayley draws it:
 and one S-ary tree by sample_sary, of which
   sary       is the assembly of the S-ary shape (sary_from_injective).
 Times are process CPU seconds (time.process_time): each point is drawn
-REPEATS times with the same seed, and each stage keeps its median.  The
+REPEATS times with the same SEED, and each stage keeps its median.  The
 growth exponent of each stage is the least-squares slope of log(time)
 against log(n) over the sizes.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import platform
@@ -42,6 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ("thin", "sqrt", "wide")
 STAGES = ("draw", "bijection", "relabel", "serialize", "sary")
+SIZES = (1000, 10000, 100000)
+SEED = 1
 REPEATS = 3
 
 
@@ -107,14 +108,14 @@ def slope(points: list[tuple[int, float]]) -> float | None:
             / sum((x - mx) ** 2 for x, _ in pts))
 
 
-def child(sizes: list[int], seed: int) -> None:
+def child() -> None:
     """Measure every point in this interpreter; print the rows as JSON."""
     sys.path.insert(0, str(ROOT / "src"))
     rows = []
-    for n in sizes:
+    for n in SIZES:
         for shape in SHAPES:
             for negative in (False, True):
-                runs = [measure(n, shape, negative, seed) for _ in range(REPEATS)]
+                runs = [measure(n, shape, negative, SEED) for _ in range(REPEATS)]
                 row = runs[0]
                 row["stages_s"] = {stage: statistics.median(r["stages_s"][stage]
                                                             for r in runs)
@@ -124,23 +125,11 @@ def child(sizes: list[int], seed: int) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="1000,10000,100000")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_sampler.json"))
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    sizes = [int(x) for x in args.sizes.split(",")]
-    if args.child:
-        child(sizes, args.seed)
-        return
-
     modes = {}
     for mode, flags in (("asserts", []), ("optimized", ["-O"])):
-        proc = subprocess.run(
-            [sys.executable, *flags, __file__, "--child", "--sizes", args.sizes,
-             "--seed", str(args.seed)],
-            stdout=subprocess.PIPE, text=True, check=True)
+        # the measuring interpreter is this script again, told so by --child
+        proc = subprocess.run([sys.executable, *flags, __file__, "--child"],
+                              stdout=subprocess.PIPE, text=True, check=True)
         rows = json.loads(proc.stdout.splitlines()[-1])
         fits = {}
         for shape in SHAPES:
@@ -162,13 +151,17 @@ def main() -> None:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "processor": platform.processor() or "unknown",
-        "sizes": sizes,
-        "seed": args.seed,
+        "sizes": list(SIZES),
+        "seed": SEED,
         "stages": list(STAGES),
         "modes": modes,
     }
-    Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    text = json.dumps(result, indent=1, sort_keys=True) + "\n"
+    (ROOT / "BENCH_sampler.json").write_text(text)
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:] == ["--child"]:
+        child()
+    else:
+        main()

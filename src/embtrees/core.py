@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 # Sentinel step value for the out-type of the root (distinct from every int).
 EPS = "eps"
@@ -749,6 +749,15 @@ def _digits(code: int, base: int, width: int) -> CVec:
     return tuple(cvec)
 
 
+def _cvec_lookup(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction", m: int
+                 ) -> Callable[[object], CVec]:
+    """v -> the dense c-vector (c^m, ..., c^1) of vertex v of obj, unpacked
+    from its _codes integer (0 for a vertex without children)."""
+    absc, parent, _root = _arcs(obj)
+    codes, base = _codes(absc, parent, m)
+    return lambda v: _digits(codes.get(v, 0), base, 2 - m)
+
+
 def _children(in_types: Iterable, m: int) -> dict[tuple[int, int], int]:
     """n(i,s) = sum_c c^s n(i-s,c): the vertices of out-type (i;s) that the
     in-type counts ((i, c), n(i,c)) give a parent."""
@@ -772,9 +781,7 @@ def vertex_type(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction", v,
     """The complete type (i; s; c) of one vertex; s is the EPS sentinel for
     the root (or for 0^1 in a function)."""
     absc, parent, root = _arcs(obj)
-    m = obj.step_set.m if m is None else m
-    codes, base = _codes(absc, parent, m)
-    cvec = _digits(codes.get(v, 0), base, 2 - m)
+    cvec = _cvec_lookup(obj, obj.step_set.m if m is None else m)(v)
     s = EPS if v == root else absc[v] - absc[parent[v]]
     return absc[v], s, cvec
 
@@ -854,7 +861,9 @@ def _check_distribution(dist: TypeDistribution) -> None:
     """Check the three compatibility identities of a census: each family is
     one pass over its table that sums both sides per abscissa or per (i, s),
     then compares them wherever either side is nonzero, so the check costs
-    O(r + |types|)."""
+    O(r + |types|).  The in- and complete families add _children's sum in
+    the same pass instead of building its table apart, which matters on the
+    tiny censuses that phi and psi check on every call."""
     m = dist.m
     # n_i = chi_{i=0} + sum_s n(i,s)
     out_at: dict[int, int] = {0: 1}

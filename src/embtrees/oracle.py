@@ -28,9 +28,7 @@ from .core import (
     StepSet,
     Vertex,
     VertexSet,
-    _arcs,
-    _codes,
-    _digits,
+    _cvec_lookup,
     condition_t,
     condition_t1,
     condition_t2,
@@ -179,11 +177,8 @@ def _matches_constraint(f: SFunction, constraint: tuple) -> bool:
     if kind == "out_types":
         return all(f.image[v].i == v.i - s for v, s in want.items())
     if kind == "in_types":
-        absc, parent, _root = _arcs(f)
-        m = f.step_set.m
-        codes, base = _codes(absc, parent, m)
-        return all(_digits(codes.get(v, 0), base, 2 - m) == tuple(cv)
-                   for v, cv in want.items())
+        cvec = _cvec_lookup(f, f.step_set.m)
+        return all(cvec(v) == tuple(cv) for v, cv in want.items())
     dist = type_distribution_of(f, check=False)
     if kind == "out_counts":
         return dist.out_key() == tuple(sorted((k, c) for k, c in want.items() if c))
