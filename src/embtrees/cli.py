@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -58,6 +57,18 @@ def _parse_profile(text: str) -> Profile:
     return _parsed(Profile.parse, text, InvalidProfile)
 
 
+def _read_input(path: str) -> str:
+    """The text of the file at path, or of stdin for "-"; an unreadable file
+    is a parse error (exit 2)."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InvalidProfile(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _exact(value: int | Fraction) -> str:
     """Exact decimal text of an integer or fraction of any size (str() of an
     int stops at sys.get_int_max_str_digits() digits)."""
@@ -100,12 +111,9 @@ def cmd_count(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _profiles_up_to(n_max: int, nonneg_only: bool = False):
+def _profiles_up_to(n_max: int):
     for n in range(1, n_max + 1):
-        for p in sampler.enumerate_profiles(n):
-            if nonneg_only and p.ell < 0:
-                continue
-            yield p
+        yield from sampler.enumerate_profiles(n)
 
 
 def _check_regression() -> dict:
@@ -182,7 +190,7 @@ def _check_identities(span: int, trials: int = 100) -> dict:
             if p.ell < 0 and S.m != -1:
                 continue
             g = algebra.CycleGraph(p.ell, p.r, S)
-            for out in oracle.compatible_out_distributions(S, p):
+            for out in oracle.compatible_distributions(S, p, "out"):
                 out_ok = out_ok and (algebra.eval_P_out(g, out)
                                      == algebra.closed_P_out(g, out))
     return {"cycle_identities": ok, "out_identity": out_ok}
@@ -251,7 +259,7 @@ def cmd_law(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    text = _read_input(args.input)
     if args.direction == "forward":
         f = _parsed(sfunction_from_json, text, InvalidProfile)
         tree, trace = (phi_with_trace if f.profile.ell == 0 else psi_with_trace)(f)
@@ -264,7 +272,7 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_types(args) -> int:
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    text = _read_input(args.input)
     data = _parsed(json.loads, text, InvalidProfile)
     decode = _sfunction_of if isinstance(data, dict) and "image" in data else _marked_stree_of
     obj = _parsed(lambda _text: decode(data), text, InvalidProfile)
@@ -298,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_count)
 
     v = sub.add_parser("verify", help="run formula/oracle/bijection sweeps")
-    v.add_argument("--max-n", type=int,
-                   default=int(os.environ.get("EMBTREES_MAX_N", "5")))
+    v.add_argument("--max-n", type=int, default=5)
     v.add_argument("--steps", default="-1,1")
     v.add_argument("--regression", action="store_true",
                    help="check the pinned paper values")

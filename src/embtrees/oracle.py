@@ -35,10 +35,6 @@ from .core import (
     allowed_images,
     is_injective,
     is_tree,
-    embedded_cayley_to_json,
-    marked_stree_to_json,
-    sary_to_json,
-    sfunction_to_json,
     type_distribution_of,
 )
 
@@ -129,8 +125,7 @@ def enumerate_sfunctions(step_set: StepSet, profile: Profile, regime: str,
     -1^1 ranges over all S-images instead); used by the in-type lemma tests.
     A pair constraint selects by types (filters, naive on purpose):
     ("out_types", {v: s}) / ("in_types", {v: cvec}) fix per-vertex types;
-    ("out_counts", dist) / ("in_counts", dist) / ("complete_counts",
-    (root_cvec, dist)) fix the counted distribution.
+    ("out_counts", dist) fixes the counted out-distribution.
     """
     budget = _budget(budget)
     budget.check_size(profile.n)
@@ -182,12 +177,6 @@ def _matches_constraint(f: SFunction, constraint: tuple) -> bool:
     dist = type_distribution_of(f, check=False)
     if kind == "out_counts":
         return dist.out_key() == tuple(sorted((k, c) for k, c in want.items() if c))
-    if kind == "in_counts":
-        return dist.in_key() == tuple(sorted((k, c) for k, c in want.items() if c))
-    if kind == "complete_counts":
-        root_cv, comp = want
-        return dist.complete_key() == (tuple(root_cv), tuple(
-            sorted((k, c) for k, c in comp.items() if c)))
     raise ValueError(f"unknown constraint {kind!r}")
 
 
@@ -396,7 +385,7 @@ def enumerate_sary(step_set: StepSet | LooseStepSet | Iterable[int],
 
 
 # ---------------------------------------------------------------------------
-# censuses and golden-file dumps
+# censuses
 # ---------------------------------------------------------------------------
 
 def census_by_type(stream: Iterable, granularity: str) -> dict:
@@ -425,47 +414,64 @@ def census_by_type(stream: Iterable, granularity: str) -> dict:
     return census
 
 
-def dump_ndjson(stream: Iterable, path) -> int:
-    """Newline-delimited canonical JSON dump; returns the object count."""
-    serializers = {
-        SFunction: sfunction_to_json,
-        MarkedSTree: marked_stree_to_json,
-        EmbeddedCayleyTree: embedded_cayley_to_json,
-        SAryTree: sary_to_json,
-    }
-    count = 0
-    with open(path, "w") as handle:
-        for obj in stream:
-            handle.write(serializers[type(obj)](obj))
-            handle.write("\n")
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # compatible distributions (the index sets of the pointwise formula checks)
 # ---------------------------------------------------------------------------
 
-def compatible_out_distributions(step_set: StepSet, profile: Profile
-                                 ) -> Iterator[dict[tuple[int, int], int]]:
-    """All out-distributions n(i,s) >= 0 with chi_{i=0} + sum_s n(i,s) = n_i
-    and n(i,s) = 0 when i - s leaves [ell, r]."""
+def compatible_distributions(step_set: StepSet, profile: Profile,
+                             granularity: str) -> Iterator:
+    """All type distributions compatible with the profile, realised by a
+    tree or not.
+
+    "out": {(i, s): n} with n(i,s) >= 0, chi_{i=0} + sum_s n(i,s) = n_i and
+    n(i,s) = 0 when i - s leaves [ell, r].  "in" and "complete" deal, for
+    each out-distribution, the child mass e_{j,s} = n(j+s, s) of each
+    abscissa j among labelled groups of its vertices, as dense c-vectors
+    (steps m..1).  "in": one group of n_j vertices, giving {(i, c): n}.
+    "complete" (ell = 0 only): one group per out-step s with n(j,s) > 0,
+    plus the root at j = 0, giving (root c-vector, {(i, s, c): n}) with no
+    root child at a step below 1.
+    """
+    if granularity not in ("out", "in", "complete"):
+        raise ValueError(f"unknown granularity {granularity!r}")
     p = profile
-    per_level: list[list[dict[tuple[int, int], int]]] = []
+    if granularity == "complete" and p.ell != 0:
+        raise ValueError("complete distributions are enumerated for ell = 0 only")
+    m = step_set.m
+    levels = []
     for i, ni in p.items():
-        need = ni - (1 if i == 0 else 0)
         slots = [s for s in step_set if p.ell <= i - s <= p.r]
-        level: list[dict[tuple[int, int], int]] = []
-        for split in _compositions(need, len(slots)):
-            level.append({(i, s): c for s, c in zip(slots, split) if c})
-        if not level and need > 0:
-            return
-        per_level.append(level or [{}])
-    for parts in itertools.product(*per_level):
-        out: dict[tuple[int, int], int] = {}
-        for part in parts:
-            out.update(part)
-        yield out
+        levels.append([{(i, s): c for s, c in zip(slots, split) if c}
+                       for split in _compositions(ni - (i == 0), len(slots))])
+    for parts in itertools.product(*levels):
+        out = {key: c for part in parts for key, c in part.items()}
+        if granularity == "out":
+            yield out
+            continue
+        prefixes: list[tuple | None] = []  # one key prefix per group; None: the root
+        deals = []
+        for j, nj in p.items():
+            if granularity == "in":
+                groups = [((j,), nj)]
+            else:
+                groups = [((j, s), out[j, s]) for s in sorted(step_set) if (j, s) in out]
+                if j == 0:
+                    groups.append((None, 1))
+            prefixes.extend(prefix for prefix, _size in groups)
+            mass = tuple(out.get((j + s, s), 0) for s in range(m, 2))
+            deals.append(list(_deal(mass, [size for _prefix, size in groups])))
+        for choice in itertools.product(*deals):
+            dist: dict = {}
+            for prefix, cvs in zip(prefixes, itertools.chain.from_iterable(choice)):
+                if prefix is None:
+                    (root,) = cvs
+                    continue
+                for cv in cvs:
+                    dist[prefix + (cv,)] = dist.get(prefix + (cv,), 0) + 1
+            if granularity == "in":
+                yield dist
+            elif not any(root[:-1]):
+                yield root, dist
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -479,131 +485,34 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _vector_partitions(vec: tuple[int, ...], parts: int
-                       ) -> Iterator[tuple[tuple[tuple[int, ...], int], ...]]:
-    """All multisets of `parts` nonnegative vectors summing to vec, as sorted
-    ((vector, multiplicity), ...) tuples."""
-    found: set = set()
-
-    def split(remaining: tuple[int, ...], parts_left: int,
-              floor: tuple[int, ...], acc: list) -> Iterator:
-        if parts_left == 0:
-            if all(x == 0 for x in remaining):
-                key = tuple(sorted(_count_multi(acc).items()))
-                if key not in found:
-                    found.add(key)
-                    yield key
-            return
-        # next part ranges over vectors <= remaining, >= floor (to kill order)
-        for part in _vectors_upto(remaining):
-            if part < floor:
-                continue
-            acc.append(part)
-            rem = tuple(a - b for a, b in zip(remaining, part))
-            yield from split(rem, parts_left - 1, part, acc)
-            acc.pop()
-
-    yield from split(vec, parts, tuple([0] * len(vec)), [])
-
-
-def _vectors_upto(bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    ranges = [range(b + 1) for b in bound]
-    for combo in itertools.product(*ranges):
-        yield combo
-
-
-def _count_multi(items: list) -> dict:
-    out: dict = {}
-    for x in items:
-        out[x] = out.get(x, 0) + 1
-    return out
-
-
-def compatible_in_distributions(step_set: StepSet, profile: Profile
-                                ) -> Iterator[dict[tuple[int, CVec], int]]:
-    """All in-distributions over dense c-vectors (steps m..1) compatible with
-    the profile: for each out-distribution, every way of splitting the child
-    mass e_{j,s} = n(j+s, s) among the n_j vertices at abscissa j."""
-    p = profile
-    m = step_set.m
-    width = 1 - m + 1
-    for out in compatible_out_distributions(step_set, profile):
-        per_level = []
-        feasible = True
-        for j, nj in p.items():
-            evec = tuple(out.get((j + s, s), 0) for s in range(m, 2))
-            level = list(_vector_partitions(evec, nj))
-            if not level:
-                feasible = False
-                break
-            per_level.append((j, level))
-        if not feasible:
-            continue
-        for parts in itertools.product(*(lv for _j, lv in per_level)):
-            inn: dict[tuple[int, CVec], int] = {}
-            for (j, _lv), multis in zip(per_level, parts):
-                for cv, cnt in multis:
-                    assert len(cv) == width
-                    inn[(j, cv)] = inn.get((j, cv), 0) + cnt
-            yield inn
-
-
-def compatible_complete_distributions(step_set: StepSet, profile: Profile
-                                      ) -> Iterator[tuple[CVec, dict]]:
-    """All (root in-type, complete distribution) pairs compatible with a
-    non-negative profile for S = [m,-1] union {1}: split each abscissa's
-    child mass among its out-type groups and the root."""
-    p = profile
-    if p.ell != 0:
-        raise ValueError("complete distributions are enumerated for ell = 0 only")
-    m = step_set.m
-    for out in compatible_out_distributions(step_set, profile):
-        per_level = []
-        feasible = True
-        for j, _nj in p.items():
-            evec = tuple(out.get((j + s, s), 0) for s in range(m, 2))
-            groups = [(s, out.get((j, s), 0)) for s in sorted(step_set)
-                      if out.get((j, s), 0) > 0]
-            if j == 0:
-                groups.append(("root", 1))
-            options = list(_group_splits(evec, groups))
-            if not options:
-                feasible = False
-                break
-            per_level.append((j, options))
-        if not feasible:
-            continue
-        for parts in itertools.product(*(opt for _j, opt in per_level)):
-            comp: dict = {}
-            root_cv: CVec | None = None
-            ok = True
-            for (j, _opt), assignment in zip(per_level, parts):
-                for (s, multis) in assignment:
-                    for cv, cnt in multis:
-                        if s == "root":
-                            assert cnt == 1
-                            root_cv = cv
-                        else:
-                            comp[(j, s, cv)] = comp.get((j, s, cv), 0) + cnt
-            if root_cv is None or any(root_cv[:-1]):
-                ok = root_cv is not None and not any(root_cv[:-1])
-            if ok:
-                yield root_cv, comp
-
-
-def _group_splits(evec: tuple[int, ...], groups: list):
-    """Distribute the child-mass vector among sized groups; within a group,
-    all multiset partitions into exactly that many parts."""
-    if not groups:
-        if all(x == 0 for x in evec):
-            yield []
+def _deal(mass: CVec, sizes: list[int]) -> Iterator[tuple[tuple[CVec, ...], ...]]:
+    """Every way to deal the child-mass vector among groups of sizes[0],
+    sizes[1], ... >= 1 vertices: one multiset of c-vectors per group.  The
+    last group takes whatever mass is left."""
+    if not sizes:
+        if not any(mass):
+            yield ()
         return
-    (label, size), rest = groups[0], groups[1:]
-    for share in _vectors_upto(evec):
-        remainder = tuple(a - b for a, b in zip(evec, share))
-        for multis in _vector_partitions(share, size):
-            for tail in _group_splits(remainder, rest):
-                yield [(label, multis)] + tail
+    shares = itertools.product(*(range(e + 1) for e in mass)) if sizes[1:] else [mass]
+    for share in shares:
+        left = tuple(a - b for a, b in zip(mass, share))
+        for group in _multisets(share, sizes[0], (0,) * len(mass)):
+            for rest in _deal(left, sizes[1:]):
+                yield (group,) + rest
+
+
+def _multisets(mass: CVec, k: int, floor: CVec) -> Iterator[tuple[CVec, ...]]:
+    """All multisets of k >= 1 c-vectors, each >= floor, summing to mass, as
+    non-decreasing tuples (so each multiset comes once)."""
+    if k == 1:
+        if mass >= floor:
+            yield (mass,)
+        return
+    for cv in itertools.product(*(range(e + 1) for e in mass)):
+        if cv >= floor:
+            left = tuple(a - b for a, b in zip(mass, cv))
+            for rest in _multisets(left, k - 1, cv):
+                yield (cv,) + rest
 
 
 # ---------------------------------------------------------------------------

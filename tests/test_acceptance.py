@@ -75,9 +75,7 @@ from embtrees import (
 from embtrees.core import embedded_cayley_to_json, sary_to_json, sfunction_to_json
 from embtrees.oracle import (
     EnumerationBudget,
-    compatible_complete_distributions,
-    compatible_in_distributions,
-    compatible_out_distributions,
+    compatible_distributions,
     sweep_embedded_censuses,
     sweep_target_censuses,
 )
@@ -242,7 +240,7 @@ def _check_profile_against_sweep(S: StepSet, p: Profile, sweep: dict,
         key = type_distribution_of(t, m=S.m).out_key()
         sary_census[key] = sary_census.get(key, 0) + 1
     seen_keys = set()
-    for out in compatible_out_distributions(S, p):
+    for out in compatible_distributions(S, p, "out"):
         key = tuple(sorted(out.items()))
         seen_keys.add(key)
         assert count_cayley_out(S, out) == out_census.get(key, 0), (S, str(p), out)
@@ -261,7 +259,7 @@ def _check_profile_against_sweep(S: StepSet, p: Profile, sweep: dict,
             key = type_distribution_of(t, m=S.m).in_key()
             sary_in_census[key] = sary_in_census.get(key, 0) + 1
         seen_in = set()
-        for inn in compatible_in_distributions(S, p):
+        for inn in compatible_distributions(S, p, "in"):
             key = tuple(sorted(inn.items()))
             seen_in.add(key)
             assert count_cayley_in(interval, inn) == in_census.get(key, 0), \
@@ -278,7 +276,7 @@ def _check_profile_against_sweep(S: StepSet, p: Profile, sweep: dict,
         formula_steps = StepSet(list(range(S.m, 0)) + [1])
         comp_census = sweep["complete"].get(pkey, {})
         seen_c = set()
-        for root_cv, comp in compatible_complete_distributions(S, p):
+        for root_cv, comp in compatible_distributions(S, p, "complete"):
             key = (root_cv, tuple(sorted(comp.items())))
             seen_c.add(key)
             assert count_cayley_complete(formula_steps, root_cv, comp) == \
@@ -417,7 +415,7 @@ def test_criterion_6_algebra():
     for S in (PM, StepSet([-1, 0, 1]), StepSet([1])):
         for p in profiles_up_to(5, nonneg=(S.m != -1) or None):
             g = CycleGraph(p.ell, p.r, S)
-            for out in compatible_out_distributions(S, p):
+            for out in compatible_distributions(S, p, "out"):
                 assert eval_P_out(g, out) == closed_P_out(g, out)
                 points += 1
     # documented out-of-hypothesis failure

@@ -29,7 +29,7 @@ from embtrees import (
     spanning_trees_direct,
     tree_in_tree_det,
 )
-from embtrees.oracle import compatible_out_distributions
+from embtrees.oracle import compatible_distributions
 
 from conftest import profiles_up_to
 
@@ -103,7 +103,7 @@ class TestLemmaIdentity:
             S = StepSet(steps)
             for p in profiles_up_to(5, nonneg=(S.m != -1) or None):
                 g = CycleGraph(p.ell, p.r, S)
-                for out in compatible_out_distributions(S, p):
+                for out in compatible_distributions(S, p, "out"):
                     assert eval_P_out(g, out) == closed_P_out(g, out), (steps, str(p))
 
     def test_refined_identity_sweep(self):

@@ -18,6 +18,8 @@ from embtrees import (
     enumerate_marked_strees,
     enumerate_sfunctions,
     psi,
+    psi1,
+    psi1_inverse,
     psi2,
     psi_inverse,
     psi_with_trace,
@@ -116,6 +118,16 @@ def test_case_image_partition_by_t2_variant():
             assert condition_t2_dblprime(t)
         else:
             assert condition_t2_prime(t)
+
+
+def test_psi1_round_trip():
+    checked = 0
+    for S in (PM, PM0):
+        for p in profiles_up_to(5, nonneg=False):
+            for f in enumerate_sfunctions(S, p, "general"):
+                assert psi1_inverse(psi1(f)) == f, (S, str(p))
+                checked += 1
+    assert checked == 1999
 
 
 def test_psi2_involution():

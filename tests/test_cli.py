@@ -128,6 +128,16 @@ class TestErrorClasses:
     @pytest.mark.parametrize("command", [("bijection", "forward"),
                                          ("bijection", "inverse"), ("types",)],
                              ids=" ".join)
+    def test_unreadable_input_exits_two(self, capsys, tmp_path, command):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, *command, "--input", str(missing))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {missing}")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [("bijection", "forward"),
+                                         ("bijection", "inverse"), ("types",)],
+                             ids=" ".join)
     @pytest.mark.parametrize("text", [
         "{}",
         "[1]",

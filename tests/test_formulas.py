@@ -41,8 +41,7 @@ from embtrees import (
 )
 from embtrees.oracle import (
     census_by_type,
-    compatible_in_distributions,
-    compatible_out_distributions,
+    compatible_distributions,
 )
 
 from conftest import compositions, profiles_of_size, profiles_up_to
@@ -123,10 +122,10 @@ class TestOutCounts:
         for S in (PM, StepSet([-1, 0, 1]), StepSet([0, 1])):
             for p in profiles_up_to(5, nonneg=(S.m != -1) or None):
                 total = sum(count_cayley_out(S, out)
-                            for out in compatible_out_distributions(S, p))
+                            for out in compatible_distributions(S, p, "out"))
                 assert total == count_cayley_profile(S, p), (S, str(p))
                 total_s = sum(count_sary_out(S, out)
-                              for out in compatible_out_distributions(S, p))
+                              for out in compatible_distributions(S, p, "out"))
                 assert total_s == count_sary_profile(S, p), (S, str(p))
 
     def test_gf_all_ones_is_profile_count(self):
@@ -173,7 +172,7 @@ class TestInCounts:
             for p in profiles_up_to(5, nonneg=(S.m != -1) or None):
                 total = 0
                 total_s = 0
-                for inn in compatible_in_distributions(S, p):
+                for inn in compatible_distributions(S, p, "in"):
                     total += count_cayley_in(S, inn)
                     if all(max(cv) <= 1 for (_i, cv), c in inn.items() if c):
                         total_s += count_sary_in(S, inn)

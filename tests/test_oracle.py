@@ -26,7 +26,7 @@ from embtrees.core import (
     sfunction_to_json,
 )
 from embtrees.oracle import (
-    dump_ndjson,
+    compatible_distributions,
     rooted_cayley_trees,
     sweep_embedded_censuses,
     sweep_target_censuses,
@@ -106,13 +106,6 @@ class TestDeterminism:
         assert runs[0] == runs[1]
         for stream in runs[0]:
             assert len(stream) == len(set(stream))
-
-    def test_ndjson_dump(self, tmp_path):
-        path = tmp_path / "trees.ndjson"
-        n = dump_ndjson(enumerate_sary(PM, Profile.parse("2;2,1")), path)
-        assert n == 3
-        lines = path.read_text().splitlines()
-        assert len(lines) == 3 and all(line.startswith("{") for line in lines)
 
 
 class TestBudget:
@@ -255,6 +248,31 @@ class TestCensus:
     def test_rooted_tree_cache(self):
         assert len(rooted_cayley_trees(4)) == 4 ** 3
         assert len(rooted_cayley_trees(5)) == 5 ** 4
+
+
+class TestCompatibleDistributions:
+    # distributions over all profiles with n <= 5 (complete: ell = 0 only;
+    # with 0 in S, only the root's c-vector can rule one out)
+    PINS = {
+        (-1, 1): {"out": 188, "in": 241, "complete": 117},
+        (-1, 0, 1): {"out": 1264, "in": 2064, "complete": 1101},
+        (0, 1): {"out": 372, "in": 656, "complete": 409},
+        (-2, -1, 1): {"out": 456, "in": 552, "complete": 176},
+    }
+
+    @pytest.mark.parametrize("steps", list(PINS), ids=str)
+    def test_counts_up_to_five(self, steps):
+        S = StepSet(steps)
+        for g, pin in self.PINS[steps].items():
+            got = sum(1 for p in profiles_up_to(5, nonneg=(g == "complete") or None)
+                      for _ in compatible_distributions(S, p, g))
+            assert got == pin, g
+
+    def test_rejected_requests(self):
+        with pytest.raises(ValueError, match="unknown granularity"):
+            list(compatible_distributions(PM, Profile.parse("2,1"), "profile"))
+        with pytest.raises(ValueError, match="ell = 0 only"):
+            list(compatible_distributions(PM, Profile.parse("1;1"), "complete"))
 
 
 def _all_roots_sweep(step_set, n, granularities):
