@@ -27,7 +27,7 @@ S = StepSet([0, 1])
 p = Profile.parse("3,1")
 # pick a function whose repair stage is nontrivial
 chosen = None
-for f in enumerate_sfunctions(S, p, "nonneg"):
+for f in enumerate_sfunctions(S, p):
     tree, trace = phi_with_trace(f)
     if trace["frustration"]:
         chosen = (f, tree, trace)
@@ -49,7 +49,7 @@ print("=== general regime: the four cases ===")
 S = StepSet([-1, 0, 1])
 p = Profile.parse("1;2,1")
 seen = {}
-for f in enumerate_sfunctions(S, p, "general"):
+for f in enumerate_sfunctions(S, p):
     case = classify_case(f)
     if case not in seen:
         seen[case] = f

@@ -69,7 +69,7 @@ def measure(n: int, shape: str, negative: bool, seed: int) -> dict:
     rng = random.Random(seed)
     clock = time.process_time
     t0 = clock()
-    f = sampler.sample_sfunction(S, p, "general" if negative else "nonneg", rng)
+    f = sampler.sample_sfunction(S, p, rng)
     t1 = clock()
     tree = sampler.psi(f) if negative else sampler.phi(f)
     t2 = clock()

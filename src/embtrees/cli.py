@@ -59,14 +59,16 @@ def _parse_profile(text: str) -> Profile:
 
 def _read_input(path: str) -> str:
     """The text of the file at path, or of stdin for "-"; an unreadable file
-    is a parse error (exit 2)."""
-    if path == "-":
-        return sys.stdin.read()
+    or undecodable text is a parse error (exit 2)."""
     try:
-        with open(path) as handle:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise InvalidProfile(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidProfile(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
 
 
 def _exact(value: int | Fraction) -> str:
@@ -158,10 +160,9 @@ def _check_bijections(step_set: StepSet, max_n: int) -> dict:
     for p in _profiles_up_to(max_n):
         if p.ell < 0 and step_set.m != -1:
             continue
-        regime = "nonneg" if p.ell == 0 else "general"
-        for f in oracle.enumerate_sfunctions(step_set, p, regime):
-            t = phi(f) if regime == "nonneg" else psi(f)
-            back = phi_inverse(t) if regime == "nonneg" else psi_inverse(t)
+        for f in oracle.enumerate_sfunctions(step_set, p):
+            t = phi(f) if p.ell == 0 else psi(f)
+            back = phi_inverse(t) if p.ell == 0 else psi_inverse(t)
             ok = ok and (back == f)
             checked += 1
     return {"bijection_round_trip": ok, "functions_checked": checked}
@@ -232,8 +233,7 @@ def cmd_sample(args) -> int:
             tree = sampler.sample_sary(steps, profile, rng)
             print(sary_to_json(tree))
         elif args.family == "function":
-            regime = "nonneg" if profile.ell == 0 else "general"
-            f = sampler.sample_sfunction(steps, profile, regime, rng)
+            f = sampler.sample_sfunction(steps, profile, rng)
             print(sfunction_to_json(f))
         else:
             raise ValueError(f"unknown family {args.family!r}")

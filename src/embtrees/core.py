@@ -195,22 +195,14 @@ class Profile:
         return f"{neg};{pos}"
 
 
-def validate_profile_for(step_set: StepSet, profile: Profile, regime: str) -> None:
-    """Check the hypotheses under which the product formulas hold.
-
-    regime="nonneg" requires ell = 0; regime="general" requires min S = -1.
-    max S = 1 is enforced by StepSet itself.
-    """
-    if regime == "nonneg":
-        if profile.ell != 0:
-            raise HypothesisViolation(
-                f"nonneg regime needs ell = 0, got ell = {profile.ell}")
-    elif regime == "general":
-        if step_set.m != -1:
-            raise HypothesisViolation(
-                f"general regime needs min S = -1, got min S = {step_set.m}")
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
+def validate_profile_for(step_set: StepSet, profile: Profile) -> None:
+    """Check the hypothesis under which the bijections and the product
+    formulas hold: a profile with ell < 0 needs min S = -1 (max S = 1 is
+    enforced by StepSet itself).  ell = 0 is the non-negative case (phi),
+    ell < 0 the general one (psi)."""
+    if profile.ell < 0 and step_set.m != -1:
+        raise HypothesisViolation(
+            f"ell = {profile.ell} < 0 needs min S = -1, got min S = {step_set.m}")
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +457,8 @@ class MarkedSTree:
 # ---------------------------------------------------------------------------
 
 def condition_t(tree: MarkedSTree) -> bool:
-    """(T): on the path from the mark to 0^1, the first vertex of V_{i-1} is
-    preceded by i^1, for all i in [1, r]."""
-    if tree.root != Vertex(0, 1):
-        return False
-    path = tree.path_to_root(tree.mark)
-    return _first_entry_preceded_by_spine(path, tree.profile.r)
+    """(T): (T1) with the root 0^1."""
+    return tree.root == Vertex(0, 1) and condition_t1(tree)
 
 
 def _first_entry_preceded_by_spine(path: list[Vertex], r: int) -> bool:
@@ -485,7 +473,8 @@ def _first_entry_preceded_by_spine(path: list[Vertex], r: int) -> bool:
 
 
 def condition_t1(tree: MarkedSTree) -> bool:
-    """(T1): same as (T) but on the path from the mark to the root in V_0."""
+    """(T1): the root lies in V_0 and, on the path from the mark to the root,
+    the first vertex of V_{i-1} is preceded by i^1, for all i in [1, r]."""
     if tree.root.i != 0:
         return False
     path = tree.path_to_root(tree.mark)

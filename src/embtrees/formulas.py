@@ -33,6 +33,7 @@ from .core import (
     StepSet,
     Vertex,
     _children,
+    validate_profile_for,
 )
 
 OutDist = Mapping[tuple[int, int], int]
@@ -316,9 +317,7 @@ def _check_out_dist(step_set: StepSet, out: OutDist) -> Profile:
         if not (prof.ell <= i - s <= prof.r):
             raise IncompatibleDistribution(
                 f"out-type ({i};{s}) points outside [ell, r]")
-    if prof.ell < 0 and step_set.m != -1:
-        raise HypothesisViolation(
-            "out counts at negative abscissas need min S = -1")
+    validate_profile_for(step_set, prof)
     return prof
 
 
@@ -355,8 +354,7 @@ def _check_in_dist(step_set: StepSet, inn: InDist
             f"in-type counting needs an interval step set [m, 1], got {step_set}; "
             "embed sparse step sets first")
     prof, children = _in_profile(inn, step_set.m)
-    if prof.ell < 0 and step_set.m != -1:
-        raise HypothesisViolation("in counts at negative abscissas need m = -1")
+    validate_profile_for(step_set, prof)
     return prof, children
 
 
@@ -574,7 +572,7 @@ def count_cayley_complete(step_set: StepSet, root_in: CVec,
 # function-family counts (the lemma side of the bijections)
 # ---------------------------------------------------------------------------
 
-def count_function_family(kind: str, regime: str, step_set: StepSet, *,
+def count_function_family(kind: str, step_set: StepSet, *,
                           profile: Profile | None = None,
                           out: OutDist | None = None,
                           inn: InDist | None = None,
@@ -587,17 +585,15 @@ def count_function_family(kind: str, regime: str, step_set: StepSet, *,
     injective_out_fixed, injective_out_counted, in_fixed, in_counted,
     complete_fixed, complete_counted.  The *_fixed kinds prescribe the type
     of every vertex; the *_counted kinds prescribe only the number of
-    vertices of each type.  in_fixed with regime="general" counts the relaxed
-    family where f(-1^1) need not land in V_0.
+    vertices of each type.  in_fixed with ell < 0 counts the relaxed family
+    where f(-1^1) need not land in V_0.  The profile of the prescription
+    must satisfy validate_profile_for, and the complete kinds need ell = 0;
+    otherwise HypothesisViolation.
 
     A counted kind is its tree count (the bijections preserve the constraint)
     times kappa = n_r (n_ell if ell < 0 else 1) prod (n_i-1)! / n!; the
     injective kinds count S-ary trees, which carry no labels, so without /n!.
     """
-    if regime not in ("nonneg", "general"):
-        raise ValueError(f"unknown regime {regime!r}")
-    if kind.startswith("complete") and regime != "nonneg":
-        raise HypothesisViolation("complete-type counting is nonneg only")
     kinds = {  # kind: its profile and its rows
         "profile": lambda: (profile, cayley_factors(step_set, profile)),
         "injective_profile": lambda: (profile, sary_factors(step_set, profile)),
@@ -613,19 +609,14 @@ def count_function_family(kind: str, regime: str, step_set: StepSet, *,
     if kind not in kinds:
         raise ValueError(f"unknown kind {kind!r}")
     prof, rows = kinds[kind]()
-    _general_ok(regime, step_set, prof.ell)
+    validate_profile_for(step_set, prof)
+    if kind.startswith("complete") and prof.ell != 0:
+        raise HypothesisViolation(f"complete-type counting needs ell = 0, got {prof.ell}")
     if not kind.endswith("_fixed"):
         rows = [*rows, *_ends(prof), _factorials(prof)]
         if not kind.startswith("injective"):
             rows.append(("1/n!", Fraction(1, math.factorial(prof.n))))
     return product(rows, f"{kind} function count")
-
-
-def _general_ok(regime: str, step_set: StepSet, ell: int) -> None:
-    if regime == "nonneg" and ell != 0:
-        raise HypothesisViolation("nonneg regime needs ell = 0")
-    if ell < 0 and step_set.m != -1:
-        raise HypothesisViolation("ell < 0 needs min S = -1")
 
 
 def _out_fixed(step_set: StepSet, out: OutDist) -> tuple[Profile, Factors]:
@@ -645,8 +636,8 @@ def _injective_out_fixed(step_set: StepSet, out: OutDist) -> tuple[Profile, Fact
 
 def _in_fixed(step_set: StepSet, vertex_in_types: Mapping[Vertex, CVec]
               ) -> tuple[Profile, Factors]:
-    """Prescribed in-type for every vertex (for the general regime this counts
-    the relaxed family where f(-1^1) may leave V_0)."""
+    """Prescribed in-type for every vertex (for ell < 0 this counts the
+    relaxed family where f(-1^1) may leave V_0)."""
     inn = Counter((v.i, tuple(cv)) for v, cv in vertex_in_types.items())
     p, _out = _check_in_dist(step_set, inn)
     _check_vertices(p, vertex_in_types)

@@ -113,8 +113,8 @@ def _coerce_steps(steps) -> StepSet | LooseStepSet:
 # S-functions
 # ---------------------------------------------------------------------------
 
-def enumerate_sfunctions(step_set: StepSet, profile: Profile, regime: str,
-                         constraint=None,
+def enumerate_sfunctions(step_set: StepSet, profile: Profile, regime: str | None = None,
+                         *, constraint=None,
                          budget: EnumerationBudget | None = None,
                          ) -> Iterator[SFunction]:
     """All S-functions on V \\ {0^1} satisfying condition (F), in
@@ -125,36 +125,45 @@ def enumerate_sfunctions(step_set: StepSet, profile: Profile, regime: str,
     -1^1 ranges over all S-images instead); used by the in-type lemma tests.
     A pair constraint selects by types (filters, naive on purpose):
     ("out_types", {v: s}) / ("in_types", {v: cvec}) fix per-vertex types;
-    ("out_counts", dist) fixes the counted out-distribution.
+    ("out_counts", dist) fixes the counted out-distribution.  Any other
+    constraint raises ValueError.
+
+    The profile decides the case: "nonneg" when ell = 0, "general" when
+    ell < 0.  regime stays only for a caller that passes it positionally
+    (perfbench's round-trip workload); any value other than the profile's
+    case raises ValueError.
     """
+    if regime not in (None, "general" if profile.ell < 0 else "nonneg"):
+        raise ValueError(f"regime {regime!r} does not match ell = {profile.ell}")
+    if not (constraint in (None, "injective", "relaxed_spine")
+            or isinstance(constraint, tuple) and len(constraint) == 2
+            and constraint[0] in ("out_types", "in_types", "out_counts")):
+        raise ValueError(f"unknown constraint {constraint!r}")
     budget = _budget(budget)
     budget.check_size(profile.n)
-    if regime not in ("nonneg", "general"):
-        raise ValueError(f"unknown regime {regime!r}")
-    if regime == "nonneg" and profile.ell != 0:
-        raise ValueError("nonneg regime needs ell = 0")
     vset = VertexSet(profile)
     forced: dict[Vertex, Vertex] = {}
     for i in range(1, profile.r + 1):
         forced[Vertex(i, 1)] = Vertex(i - 1, 1)
     for i in range(profile.ell, -1):
         forced[Vertex(i, 1)] = Vertex(i + 1, 1)
+    if any(v.i - w.i not in step_set for v, w in forced.items()):
+        return  # (F) forces an arc that is not an S-edge
     free: list[Vertex] = []
     domains: list[list[Vertex]] = []
     for v in vset.vertices():
         if v == Vertex(0, 1) or v in forced:
             continue
-        if profile.ell < 0 and v == Vertex(-1, 1):
-            continue  # handled below: (F) pins its image to V_0
-        free.append(v)
-        domains.append(allowed_images(vset, step_set, v))
-    if profile.ell < 0:
-        v1 = Vertex(-1, 1)
-        free.insert(0, v1)
-        if constraint == "relaxed_spine":
-            domains.insert(0, allowed_images(vset, step_set, v1))
+        images = allowed_images(vset, step_set, v)
+        if v == Vertex(-1, 1):
+            # -1^1 leads the image tuple; (F) pins its image to V_0
+            if constraint != "relaxed_spine":
+                images = [w for w in images if w.i == 0]
+            free.insert(0, v)
+            domains.insert(0, images)
         else:
-            domains.insert(0, vset.level(0))
+            free.append(v)
+            domains.append(images)
     for choice in itertools.product(*domains):
         budget.charge()
         image = dict(forced)
@@ -175,34 +184,28 @@ def _matches_constraint(f: SFunction, constraint: tuple) -> bool:
         cvec = _cvec_lookup(f, f.step_set.m)
         return all(cvec(v) == tuple(cv) for v, cv in want.items())
     dist = type_distribution_of(f, check=False)
-    if kind == "out_counts":
-        return dist.out_key() == tuple(sorted((k, c) for k, c in want.items() if c))
-    raise ValueError(f"unknown constraint {kind!r}")
+    return dist.out_key() == tuple(sorted((k, c) for k, c in want.items() if c))
 
 
 # ---------------------------------------------------------------------------
 # marked S-trees
 # ---------------------------------------------------------------------------
 
-def enumerate_marked_strees(step_set: StepSet, profile: Profile, regime: str,
+def enumerate_marked_strees(step_set: StepSet, profile: Profile,
                             budget: EnumerationBudget | None = None,
                             ) -> Iterator[MarkedSTree]:
-    """All marked S-trees of the given regime, verified by the explicit
-    path-walk predicates: (T) with root 0^1 for nonneg, (T1) and (T2) with
-    root in V_0 for general."""
+    """All marked S-trees that the bijection for the profile's case reaches,
+    verified by the explicit path-walk predicates: (T) (root 0^1) when
+    ell = 0, (T1) and (T2) (root in V_0) when ell < 0."""
     budget = _budget(budget)
     budget.check_size(profile.n)
     vset = VertexSet(profile)
-    if regime == "nonneg":
-        if profile.ell != 0:
-            raise ValueError("nonneg regime needs ell = 0")
+    if profile.ell == 0:
         roots = [Vertex(0, 1)]
         keep = condition_t
-    elif regime == "general":
+    else:
         roots = vset.level(0)
         keep = lambda t: condition_t1(t) and condition_t2(t)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
     marks = vset.level(profile.r)
     for tree in _enumerate_strees(vset, step_set, roots, budget):
         for mark in marks:

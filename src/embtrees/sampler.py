@@ -54,10 +54,6 @@ class CountingRandom(random.Random):
         return super()._randbelow(n, **kwargs)
 
 
-def _regime_of(profile: Profile) -> str:
-    return "nonneg" if profile.ell == 0 else "general"
-
-
 def _rng(seed) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
@@ -82,14 +78,12 @@ def _spine_arcs(vset: VertexSet, rng: random.Random) -> dict[Vertex, Vertex]:
     return image
 
 
-def sample_sfunction(step_set: StepSet, profile: Profile, regime: str,
-                     seed=None) -> SFunction:
+def sample_sfunction(step_set: StepSet, profile: Profile, seed=None) -> SFunction:
     """Uniform (F)-function: every free vertex's image is drawn independently
     and uniformly from its allowed codomain (v_0 uniformly from V_0 when
-    ell < 0)."""
-    validate_profile_for(step_set, profile, regime)
-    if regime == "general" and profile.ell == 0:
-        regime = "nonneg"
+    ell < 0).  A profile with ell < 0 needs min S = -1
+    (validate_profile_for)."""
+    validate_profile_for(step_set, profile)
     rng = _rng(seed)
     vset = VertexSet(profile)
     image = _spine_arcs(vset, rng)
@@ -104,7 +98,7 @@ def sample_sfunction(step_set: StepSet, profile: Profile, regime: str,
 
 def _sample_marked_tree(step_set: StepSet, profile: Profile,
                         rng: random.Random) -> MarkedSTree:
-    f = sample_sfunction(step_set, profile, _regime_of(profile), rng)
+    f = sample_sfunction(step_set, profile, rng)
     return phi(f) if profile.ell == 0 else psi(f)
 
 
@@ -143,7 +137,6 @@ def sample_embedded_cayley(step_set: StepSet, profile: Profile,
     embedded tree arises from n_r (resp. n_ell n_r) marked trees and each
     marked tree from n!/prod (n_i - 1)! relabelings, so the result is uniform.
     """
-    validate_profile_for(step_set, profile, _regime_of(profile))
     rng = _rng(seed)
     tree = _sample_marked_tree(step_set, profile, rng)
     return _relabel_uniform(tree, rng)
@@ -152,7 +145,7 @@ def sample_embedded_cayley(step_set: StepSet, profile: Profile,
 def sample_sary(step_set: StepSet, profile: Profile, seed=None) -> SAryTree:
     """Uniform S-ary tree with the given profile: a uniform (F)-function
     injective on each V_i, pushed through the bijection, with names dropped."""
-    validate_profile_for(step_set, profile, _regime_of(profile))
+    validate_profile_for(step_set, profile)
     rng = _rng(seed)
     vset = VertexSet(profile)
     image = _spine_arcs(vset, rng)

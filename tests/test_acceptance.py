@@ -305,8 +305,8 @@ def _criterion_4_phi() -> int:
     total = 0
     for S in ALL_STEP_SETS:
         for p in profiles_up_to(MAX_N, nonneg=True):
-            funcs = list(enumerate_sfunctions(S, p, "nonneg", budget=BIG))
-            trees = set(enumerate_marked_strees(S, p, "nonneg", budget=BIG))
+            funcs = list(enumerate_sfunctions(S, p, budget=BIG))
+            trees = set(enumerate_marked_strees(S, p, budget=BIG))
             image = set()
             for f in funcs:
                 t = phi(f)
@@ -329,8 +329,8 @@ def _criterion_4_psi() -> int:
     total = 0
     for S in (PM, StepSet([-1, 0, 1])):
         for p in profiles_up_to(MAX_N, nonneg=False):
-            funcs = list(enumerate_sfunctions(S, p, "general", budget=BIG))
-            trees = set(enumerate_marked_strees(S, p, "general", budget=BIG))
+            funcs = list(enumerate_sfunctions(S, p, budget=BIG))
+            trees = set(enumerate_marked_strees(S, p, budget=BIG))
             image = set()
             for f in funcs:
                 t = psi(f)
@@ -354,13 +354,13 @@ def _criterion_4_negative_controls() -> None:
                                     Vertex(0, 2): Vertex(0, 2)})
     f_key = type_distribution_of(f).complete_key()
     tree_keys = {type_distribution_of(t).complete_key()
-                 for t in enumerate_marked_strees(S, p, "nonneg")}
+                 for t in enumerate_marked_strees(S, p)}
     assert f_key not in tree_keys
     # a tree census no function realizes (general regime)
     p2 = Profile.parse("2;2,1")
     func_keys = {type_distribution_of(g).complete_key()
-                 for g in enumerate_sfunctions(PM, p2, "general")}
-    witnesses = [t for t in enumerate_marked_strees(PM, p2, "general")
+                 for g in enumerate_sfunctions(PM, p2)}
+    witnesses = [t for t in enumerate_marked_strees(PM, p2)
                  if type_distribution_of(t).complete_key() not in func_keys]
     assert witnesses
 
@@ -470,11 +470,11 @@ def test_criterion_7_sampler_statistics():
 
     # (F)-functions over the 12-function support
     fsupport = {sfunction_to_json(f)
-                for f in enumerate_sfunctions(PM, p, "general")}
+                for f in enumerate_sfunctions(PM, p)}
     counts = {}
     draws = 200 * len(fsupport)
     for _ in range(draws):
-        key = sfunction_to_json(sample_sfunction(PM, p, "general", rng))
+        key = sfunction_to_json(sample_sfunction(PM, p, rng))
         assert key in fsupport
         counts[key] = counts.get(key, 0) + 1
     pvals["function(2;2,1)"] = _chi_square_p(counts, len(fsupport), draws)

@@ -77,8 +77,8 @@ def test_case_examples():
 def test_exhaustive_up_to_five():
     for S in (PM, PM0):
         for p in profiles_up_to(5, nonneg=False):
-            funcs = list(enumerate_sfunctions(S, p, "general"))
-            trees = list(enumerate_marked_strees(S, p, "general"))
+            funcs = list(enumerate_sfunctions(S, p))
+            trees = list(enumerate_marked_strees(S, p))
             assert len(funcs) == len(trees), (S, str(p))
             image = set()
             case_counts: dict[str, int] = {}
@@ -104,10 +104,10 @@ def test_case_image_partition_by_t2_variant():
     """Cases A* land in (T2') and case B in (T2''), with counts agreeing
     function-side and tree-side (the two propositions' partition)."""
     p = Profile.parse("2;2,1")
-    funcs = list(enumerate_sfunctions(PM, p, "general"))
+    funcs = list(enumerate_sfunctions(PM, p))
     a_side = sum(1 for f in funcs if classify_case(f) != "B")
     b_side = len(funcs) - a_side
-    trees = list(enumerate_marked_strees(PM, p, "general"))
+    trees = list(enumerate_marked_strees(PM, p))
     t2p = sum(1 for t in trees if condition_t2_prime(t))
     t2pp = sum(1 for t in trees if condition_t2_dblprime(t))
     assert t2p + t2pp == len(trees)
@@ -124,7 +124,7 @@ def test_psi1_round_trip():
     checked = 0
     for S in (PM, PM0):
         for p in profiles_up_to(5, nonneg=False):
-            for f in enumerate_sfunctions(S, p, "general"):
+            for f in enumerate_sfunctions(S, p):
                 assert psi1_inverse(psi1(f)) == f, (S, str(p))
                 checked += 1
     assert checked == 1999
@@ -133,7 +133,7 @@ def test_psi1_round_trip():
 def test_psi2_involution():
     for S in (PM, PM0):
         for p in profiles_up_to(5, nonneg=False):
-            for t in enumerate_marked_strees(S, p, "general"):
+            for t in enumerate_marked_strees(S, p):
                 assert psi2(psi2(t)) == t, (S, str(p))
 
 
@@ -142,14 +142,14 @@ def test_complete_type_negative_control_tree_side():
     census realized by no (F)-function."""
     p = Profile.parse("2;2,1")
     func_keys = {type_distribution_of(f).complete_key()
-                 for f in enumerate_sfunctions(PM, p, "general")}
-    witnesses = [t for t in enumerate_marked_strees(PM, p, "general")
+                 for f in enumerate_sfunctions(PM, p)}
+    witnesses = [t for t in enumerate_marked_strees(PM, p)
                  if type_distribution_of(t).complete_key() not in func_keys]
     assert witnesses, "expected a tree census unrealizable by functions"
     # while in-type censuses are always realized (property (b))
     func_in = {type_distribution_of(f).in_key()
-               for f in enumerate_sfunctions(PM, p, "general")}
-    for t in enumerate_marked_strees(PM, p, "general"):
+               for f in enumerate_sfunctions(PM, p)}
+    for t in enumerate_marked_strees(PM, p):
         assert type_distribution_of(t).in_key() in func_in
 
 

@@ -29,14 +29,14 @@ PM = StepSet([-1, 1])
 
 
 def test_forced_three_vertex_chain():
-    f = next(iter(enumerate_sfunctions(PM, Profile.parse("2,1"), "nonneg")))
+    f = next(iter(enumerate_sfunctions(PM, Profile.parse("2,1"))))
     t = phi(f)
     assert t.root == Vertex(0, 1)
     assert phi_inverse(t) == f
 
 
 def test_two_vertex_trivial():
-    f = next(iter(enumerate_sfunctions(PM, Profile.parse("1,1"), "nonneg")))
+    f = next(iter(enumerate_sfunctions(PM, Profile.parse("1,1"))))
     t = phi(f)
     assert t.mark == Vertex(1, 1) and t.parent[Vertex(1, 1)] == Vertex(0, 1)
     assert phi_inverse(t) == f
@@ -49,7 +49,7 @@ def test_preconditions():
     with pytest.raises(PreconditionViolated):
         phi1(bad)
     # a tree violating (T): mark path enters V_0 at 0^1 without 1^1 before it
-    trees = list(enumerate_marked_strees(PM, Profile.parse("2,2"), "nonneg"))
+    trees = list(enumerate_marked_strees(PM, Profile.parse("2,2")))
     all_parent_maps = set()
     for t in trees:
         all_parent_maps.add(tuple(sorted(t.parent.items())))
@@ -69,8 +69,8 @@ def test_preconditions():
 def test_exhaustive_round_trip_and_types():
     for S in ALL_STEP_SETS:
         for p in profiles_up_to(5, nonneg=True):
-            funcs = list(enumerate_sfunctions(S, p, "nonneg"))
-            trees = set(enumerate_marked_strees(S, p, "nonneg"))
+            funcs = list(enumerate_sfunctions(S, p))
+            trees = set(enumerate_marked_strees(S, p))
             image = set()
             for f in funcs:
                 t = phi(f)
@@ -90,17 +90,17 @@ def test_exhaustive_round_trip_and_types():
 def test_phi1_identity_composition():
     for S in (StepSet([0, 1]), StepSet([-2, 0, 1])):
         for p in profiles_up_to(4, nonneg=True):
-            for f in enumerate_sfunctions(S, p, "nonneg"):
+            for f in enumerate_sfunctions(S, p):
                 t1 = phi1(f)
                 assert phi1_inverse(t1) == f
-            for t in enumerate_marked_strees(S, p, "nonneg"):
+            for t in enumerate_marked_strees(S, p):
                 assert phi1(phi1_inverse(t)) == t
 
 
 def test_phi2_involution_and_identity_without_zero_step():
     for S in ALL_STEP_SETS:
         for p in profiles_up_to(4, nonneg=True):
-            for t in enumerate_marked_strees(S, p, "nonneg"):
+            for t in enumerate_marked_strees(S, p):
                 t2 = phi2(t)
                 assert phi2(t2) == t
                 if 0 not in S:
@@ -117,11 +117,11 @@ def test_complete_type_negative_control():
                               Vertex(0, 2): Vertex(0, 2)})
         f_key = type_distribution_of(f).complete_key()
         tree_keys = {type_distribution_of(t).complete_key()
-                     for t in enumerate_marked_strees(S, p, "nonneg")}
+                     for t in enumerate_marked_strees(S, p)}
         assert f_key not in tree_keys, S
         # but the in-type census IS realized (property (b))
         in_keys = {type_distribution_of(t).in_key()
-                   for t in enumerate_marked_strees(S, p, "nonneg")}
+                   for t in enumerate_marked_strees(S, p)}
         assert type_distribution_of(f).in_key() in in_keys
 
 
@@ -131,7 +131,7 @@ def test_in_census_is_distributional_not_pointwise():
     S = StepSet([0, 1])
     found_pointwise_change = False
     for p in profiles_up_to(4, nonneg=True):
-        for f in enumerate_sfunctions(S, p, "nonneg"):
+        for f in enumerate_sfunctions(S, p):
             t = phi(f)
             f_pre = {v: [] for v in f.vertex_set.vertices()}
             for v, w in f.image.items():
@@ -145,7 +145,7 @@ def test_in_census_is_distributional_not_pointwise():
 
 
 def test_trace_structure():
-    f = next(iter(enumerate_sfunctions(PM, Profile.parse("2,1"), "nonneg")))
+    f = next(iter(enumerate_sfunctions(PM, Profile.parse("2,1"))))
     t, trace = phi_with_trace(f)
     assert trace["regime"] == "nonneg"
     assert trace["concatenation"][0] == [trace["pieces"][0]["source"][0],
@@ -159,7 +159,7 @@ def test_frustration_alternation_exercised():
     S = StepSet([0, 1])
     nonempty = 0
     for p in profiles_up_to(5, nonneg=True):
-        for f in enumerate_sfunctions(S, p, "nonneg"):
+        for f in enumerate_sfunctions(S, p):
             _t, trace = phi_with_trace(f)
             if trace["frustration"]:
                 nonempty += 1
@@ -169,7 +169,7 @@ def test_frustration_alternation_exercised():
 def test_census_level_equality_per_profile():
     for S in (StepSet([0, 1]), PM):
         for p in profiles_up_to(4, nonneg=True):
-            funcs = list(enumerate_sfunctions(S, p, "nonneg"))
-            trees = list(enumerate_marked_strees(S, p, "nonneg"))
+            funcs = list(enumerate_sfunctions(S, p))
+            trees = list(enumerate_marked_strees(S, p))
             assert census_by_type(funcs, "in") == census_by_type(trees, "in")
             assert census_by_type(funcs, "out") == census_by_type(trees, "out")

@@ -128,12 +128,22 @@ class TestErrorClasses:
     @pytest.mark.parametrize("command", [("bijection", "forward"),
                                          ("bijection", "inverse"), ("types",)],
                              ids=" ".join)
-    def test_unreadable_input_exits_two(self, capsys, tmp_path, command):
+    def test_unreadable_input_exits_two(self, capsys, monkeypatch, tmp_path, command):
         missing = tmp_path / "missing.json"
         code, out, err = run(capsys, *command, "--input", str(missing))
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read {missing}")
         assert len(err.splitlines()) == 1
+        # bytes that are not UTF-8 text, from a file and from stdin
+        binary = bytes(range(56, 256))
+        garbled = tmp_path / "garbled.json"
+        garbled.write_bytes(binary)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(binary), "utf-8"))
+        for path in (str(garbled), "-"):
+            code, out, err = run(capsys, *command, "--input", path)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: cannot read {path}")
+            assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", [("bijection", "forward"),
                                          ("bijection", "inverse"), ("types",)],

@@ -101,17 +101,18 @@ class TestProfile:
 
 class TestValidateProfileFor:
     def test_general_ok(self):
-        validate_profile_for(StepSet([-1, 1]), Profile.parse("2;2,1"), "general")
+        validate_profile_for(StepSet([-1, 1]), Profile.parse("2;2,1"))
 
     def test_min_step_below_minus_one_rejected(self):
-        with pytest.raises(HypothesisViolation):
-            validate_profile_for(StepSet([-2, -1, 1]),
-                                 Profile.parse("1,1,1,2,1;1"), "general")
+        for steps, profile in (([-2, -1, 1], "1,1,1,2,1;1"), ([0, 1], "1;1"),
+                               ([1], "1;2")):
+            with pytest.raises(HypothesisViolation):
+                validate_profile_for(StepSet(steps), Profile.parse(profile))
 
     def test_nonneg_ok(self):
-        validate_profile_for(StepSet([1]), Profile.parse("1,2"), "nonneg")
-        with pytest.raises(HypothesisViolation):
-            validate_profile_for(StepSet([1]), Profile.parse("1;2"), "nonneg")
+        # ell = 0 needs nothing of min S
+        for steps in ([1], [0, 1], [-2, 1], [-2, -1, 1]):
+            validate_profile_for(StepSet(steps), Profile.parse("1,2"))
 
 
 class TestVertexOrder:
@@ -168,9 +169,8 @@ class TestTypeDistribution:
         S = StepSet([-1, 0, 1])
         checked = 0
         for p in profiles_up_to(5):
-            regime = "nonneg" if p.ell == 0 else "general"
-            for obj in [*enumerate_marked_strees(S, p, regime),
-                        *enumerate_sfunctions(S, p, regime),
+            for obj in [*enumerate_marked_strees(S, p),
+                        *enumerate_sfunctions(S, p),
                         *enumerate_embedded_cayley(S, p)]:
                 type_distribution_of(obj, check=True)
                 checked += 1
@@ -234,9 +234,8 @@ class TestIntegerCensus:
     @pytest.mark.parametrize("S", STEP_SETS, ids=str)
     def test_every_small_object(self, S):
         for p in profiles_up_to(5, nonneg=(S.m != -1) or None):
-            regime = "nonneg" if p.ell == 0 else "general"
-            for obj in [*enumerate_sfunctions(S, p, regime),
-                        *enumerate_marked_strees(S, p, regime)]:
+            for obj in [*enumerate_sfunctions(S, p),
+                        *enumerate_marked_strees(S, p)]:
                 self.assert_same(obj)
         for p in profiles_up_to(5):
             for obj in enumerate_embedded_cayley(S, p):
@@ -245,8 +244,7 @@ class TestIntegerCensus:
     def test_explicit_m_below_min_s(self):
         S = StepSet([-1, 0, 1])
         for p in profiles_up_to(4):
-            regime = "nonneg" if p.ell == 0 else "general"
-            for obj in [*enumerate_sfunctions(S, p, regime),
+            for obj in [*enumerate_sfunctions(S, p),
                         *enumerate_embedded_cayley(S, p)]:
                 for m in (-2, -4):
                     self.assert_same(obj, m)
@@ -288,7 +286,7 @@ class TestIntegerCensus:
             counts = [n // 5] * 5
         ell = -(len(counts) // 3) if ell else 0
         p = Profile(counts, ell=ell)
-        f = sample_sfunction(S, p, "general" if ell else "nonneg", seed=7)
+        f = sample_sfunction(S, p, seed=7)
         tree = phi(f) if ell == 0 else psi(f)
         for obj in (f, tree, sample_embedded_cayley(S, p, seed=7)):
             self.assert_same(obj)
@@ -511,7 +509,7 @@ class TestEquivalenceAndVertexTypes:
         from embtrees.core import vertex_type
         from embtrees import EPS
         S = StepSet([-1, 1])
-        f = next(iter(enumerate_sfunctions(S, Profile.parse("2,1"), "nonneg")))
+        f = next(iter(enumerate_sfunctions(S, Profile.parse("2,1"))))
         i, s, cv = vertex_type(f, Vertex(0, 1))
         assert (i, s) == (0, EPS) and cv == (0, 0, 1)
         assert vertex_type(f, Vertex(1, 1))[1] == 1
@@ -519,15 +517,14 @@ class TestEquivalenceAndVertexTypes:
     def test_constraint_filters(self):
         S = StepSet([-1, 1])
         p = Profile.parse("2;2,1")
-        base = list(enumerate_sfunctions(S, p, "general"))
+        base = list(enumerate_sfunctions(S, p))
         census: dict = {}
         for f in base:
             key = type_distribution_of(f).out_key()
             census[key] = census.get(key, 0) + 1
         for key, count in census.items():
             out = {k: c for k, c in key}
-            got = list(enumerate_sfunctions(S, p, "general",
-                                            constraint=("out_counts", out)))
+            got = list(enumerate_sfunctions(S, p, constraint=("out_counts", out)))
             assert len(got) == count
 
 
@@ -629,9 +626,9 @@ class TestSerialization:
     def test_object_round_trips(self):
         S = StepSet([-1, 0, 1])
         p = Profile.parse("1;2,1")
-        for f in enumerate_sfunctions(S, p, "general"):
+        for f in enumerate_sfunctions(S, p):
             assert sfunction_from_json(sfunction_to_json(f)) == f
-        for t in enumerate_marked_strees(S, p, "general"):
+        for t in enumerate_marked_strees(S, p):
             assert marked_stree_from_json(marked_stree_to_json(t)) == t
             d = type_distribution_of(t)
             assert type_distribution_from_json(type_distribution_to_json(d)) == d

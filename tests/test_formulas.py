@@ -221,45 +221,52 @@ class TestCompleteCounts:
 class TestFunctionFamilies:
     def test_profile_kinds(self):
         assert count_function_family(
-            "profile", "nonneg", PM, profile=Profile.parse("2,1")) == 1
+            "profile", PM, profile=Profile.parse("2,1")) == 1
         assert count_function_family(
-            "profile", "general", PM, profile=Profile.parse("2;2,1")) == 12
+            "profile", PM, profile=Profile.parse("2;2,1")) == 12
         assert count_function_family(
-            "profile", "nonneg", PM, profile=Profile.parse("1,1")) == 1
+            "profile", PM, profile=Profile.parse("1,1")) == 1
+
+    def test_negative_profiles_need_min_step_minus_one(self):
+        S = StepSet([-2, -1, 1])
+        for kind, prescription in (("profile", {"profile": Profile.parse("1;1")}),
+                                   ("out_counted", {"out": {(-1, -1): 1}}),
+                                   ("out_fixed", {"out": {(-1, -1): 1}})):
+            with pytest.raises(HypothesisViolation):
+                count_function_family(kind, S, **prescription)
+        assert count_function_family("profile", S, profile=Profile.parse("1,1")) == 1
 
     def test_profile_kinds_against_enumeration(self):
         for S in (PM, StepSet([-1, 0, 1])):
             for p in profiles_up_to(5):
-                regime = "nonneg" if p.ell == 0 else "general"
-                count = sum(1 for _ in enumerate_sfunctions(S, p, regime))
+                count = sum(1 for _ in enumerate_sfunctions(S, p))
                 assert count == count_function_family(
-                    "profile", regime, S, profile=p), (S, str(p))
-                inj = sum(1 for _ in enumerate_sfunctions(S, p, regime,
+                    "profile", S, profile=p), (S, str(p))
+                inj = sum(1 for _ in enumerate_sfunctions(S, p,
                                                           constraint="injective"))
                 assert inj == count_function_family(
-                    "injective_profile", regime, S, profile=p), (S, str(p))
+                    "injective_profile", S, profile=p), (S, str(p))
 
     def test_counted_kinds_against_census(self):
         for S in (PM, StepSet([-1, 0, 1])):
             for p in profiles_up_to(4):
-                regime = "nonneg" if p.ell == 0 else "general"
-                funcs = list(enumerate_sfunctions(S, p, regime))
+                funcs = list(enumerate_sfunctions(S, p))
                 census = census_by_type(funcs, "out")
                 for key, count in census.items():
                     out = {k: c for k, c in key}
                     assert count == count_function_family(
-                        "out_counted", regime, S, out=out), (S, str(p), key)
+                        "out_counted", S, out=out), (S, str(p), key)
                 census_in = census_by_type(funcs, "in")
                 for key, count in census_in.items():
                     inn = {k: c for k, c in key}
                     if S.is_interval():
                         assert count == count_function_family(
-                            "in_counted", regime, S, inn=inn), (S, str(p), key)
+                            "in_counted", S, inn=inn), (S, str(p), key)
 
     def test_fixed_kinds_against_enumeration(self):
         S = StepSet([-1, 0, 1])
         for p in profiles_up_to(4, nonneg=True):
-            funcs = list(enumerate_sfunctions(S, p, "nonneg"))
+            funcs = list(enumerate_sfunctions(S, p))
             by_types = {}
             for f in funcs:
                 pre = {v: [0] * 3 for v in f.vertex_set.vertices()}
@@ -270,17 +277,17 @@ class TestFunctionFamilies:
             for key, count in by_types.items():
                 vertex_in = {v: cv for v, cv in key}
                 assert count == count_function_family(
-                    "in_fixed", "nonneg", S, vertex_in_types=vertex_in), (str(p),)
+                    "in_fixed", S, vertex_in_types=vertex_in), (str(p),)
 
     def test_complete_counted_matches_function_census(self):
         S = PM
         for p in profiles_up_to(4, nonneg=True):
-            funcs = list(enumerate_sfunctions(S, p, "nonneg"))
+            funcs = list(enumerate_sfunctions(S, p))
             census = census_by_type(funcs, "complete")
             for (root_cv, comp_key), count in census.items():
                 comp = {k: c for k, c in comp_key}
                 assert count == count_function_family(
-                    "complete_counted", "nonneg", S,
+                    "complete_counted", S,
                     complete=comp, root_in=root_cv), (str(p),)
 
 
@@ -302,11 +309,11 @@ def _frozen(mapping):
 
 
 def _fixed_cases(n_max, step_sets, nonneg=None):
-    """(S, profile, regime) for every profile with n <= n_max that S allows:
-    ell < 0 (the general regime) only when min S = -1 and nonneg is None."""
+    """(S, profile) for every profile with n <= n_max that S allows:
+    ell < 0 only when min S = -1 and nonneg is None."""
     for S in step_sets:
         for p in profiles_up_to(n_max, nonneg=(S.m != -1) or nonneg):
-            yield S, p, "nonneg" if p.ell == 0 else "general"
+            yield S, p
 
 
 def _in_type_prescriptions(p, m, allowed):
@@ -353,54 +360,54 @@ class TestFixedKinds:
 
     def test_out_fixed_kinds_against_enumeration(self):
         realised = 0
-        for S, p, regime in _fixed_cases(4, FIXED_STEP_SETS):
+        for S, p in _fixed_cases(4, FIXED_STEP_SETS):
             prescriptions = {_frozen(_out_steps(f))
-                             for f in enumerate_sfunctions(S, p, regime)}
+                             for f in enumerate_sfunctions(S, p)}
             for key in prescriptions:
                 steps = dict(key)
-                funcs = list(enumerate_sfunctions(S, p, regime, ("out_types", steps)))
+                funcs = list(enumerate_sfunctions(S, p, constraint=("out_types", steps)))
                 injective = sum(1 for f in funcs
                                 if len({(v.i, w) for v, w in f.image.items()}) == len(f.image))
                 out = dict(Counter((v.i, s) for v, s in steps.items()))
                 assert count_function_family(
-                    "out_fixed", regime, S, out=out) == len(funcs), (S, str(p), key)
+                    "out_fixed", S, out=out) == len(funcs), (S, str(p), key)
                 assert count_function_family(
-                    "injective_out_fixed", regime, S, out=out) == injective, (S, str(p), key)
+                    "injective_out_fixed", S, out=out) == injective, (S, str(p), key)
                 realised += 1
         assert realised == 134
 
     def test_in_fixed_against_enumeration(self):
         realised = 0
-        for S, p, regime in _fixed_cases(4, (StepSet([-1, 0, 1]), StepSet([0, 1]))):
+        for S, p in _fixed_cases(4, (StepSet([-1, 0, 1]), StepSet([0, 1]))):
             # the general kind counts the relaxed family: f(-1^1) may leave V_0
-            constraint = "relaxed_spine" if regime == "general" else None
+            constraint = "relaxed_spine" if p.ell < 0 else None
             prescriptions = {_frozen(_in_types(f))
-                             for f in enumerate_sfunctions(S, p, regime, constraint)}
+                             for f in enumerate_sfunctions(S, p, constraint=constraint)}
             for key in prescriptions:
                 vertex_in = dict(key)
-                if regime == "nonneg":
+                if p.ell == 0:
                     want = sum(1 for _ in enumerate_sfunctions(
-                        S, p, regime, ("in_types", vertex_in)))
+                        S, p, constraint=("in_types", vertex_in)))
                 else:
-                    want = sum(1 for f in enumerate_sfunctions(S, p, regime, constraint)
+                    want = sum(1 for f in enumerate_sfunctions(S, p, constraint=constraint)
                                if _in_types(f) == vertex_in)
                 assert count_function_family(
-                    "in_fixed", regime, S, vertex_in_types=vertex_in) == want, (S, str(p), key)
+                    "in_fixed", S, vertex_in_types=vertex_in) == want, (S, str(p), key)
                 realised += 1
         assert realised == 341
 
     def test_complete_fixed_against_enumeration(self):
         realised = 0
-        for S, p, regime in _fixed_cases(4, COMPLETE_STEP_SETS, nonneg=True):
+        for S, p in _fixed_cases(4, COMPLETE_STEP_SETS, nonneg=True):
             prescriptions = {(_frozen(_in_types(f)), _frozen(_out_steps(f)))
-                             for f in enumerate_sfunctions(S, p, regime)}
+                             for f in enumerate_sfunctions(S, p)}
             for in_key, out_key in prescriptions:
                 vertex_in, steps = dict(in_key), dict(out_key)
-                funcs = enumerate_sfunctions(S, p, regime, ("in_types", vertex_in))
+                funcs = enumerate_sfunctions(S, p, constraint=("in_types", vertex_in))
                 want = sum(1 for f in funcs if _out_steps(f) == steps)
                 out = dict(Counter((v.i, s) for v, s in steps.items()))
                 assert count_function_family(
-                    "complete_fixed", regime, S, vertex_in_types=vertex_in, out=out) == want, \
+                    "complete_fixed", S, vertex_in_types=vertex_in, out=out) == want, \
                     (S, str(p), in_key, out_key)
                 realised += 1
         assert realised == 33
@@ -410,20 +417,20 @@ class TestFixedKinds:
         incompatible ones raise."""
         S = StepSet([-1, 0, 1])
         tally = Counter()
-        for _S, p, regime in _fixed_cases(4, (S,)):
-            constraint = "relaxed_spine" if regime == "general" else None
+        for _S, p in _fixed_cases(4, (S,)):
+            constraint = "relaxed_spine" if p.ell < 0 else None
             realised = Counter(_frozen(_in_types(f))
-                               for f in enumerate_sfunctions(S, p, regime, constraint))
+                               for f in enumerate_sfunctions(S, p, constraint=constraint))
             for vertex_in in _in_type_prescriptions(p, S.m, set(S)):
                 if _in_compatible(p, vertex_in, S.m):
                     want = realised[_frozen(vertex_in)]
                     assert count_function_family(
-                        "in_fixed", regime, S, vertex_in_types=vertex_in) == want, \
+                        "in_fixed", S, vertex_in_types=vertex_in) == want, \
                         (str(p), vertex_in)
                     tally["zero" if want == 0 else "compatible"] += 1
                 else:
                     with pytest.raises(REJECTED):
-                        count_function_family("in_fixed", regime, S, vertex_in_types=vertex_in)
+                        count_function_family("in_fixed", S, vertex_in_types=vertex_in)
                     tally["incompatible"] += 1
         assert tally == {"compatible": 272, "zero": 283, "incompatible": 1789}
 
@@ -431,9 +438,9 @@ class TestFixedKinds:
         """Every in-type per vertex with every out-step per non-spine vertex
         (spine vertices i^1 take the step 1 that (F) forces)."""
         tally = Counter()
-        for S, p, regime in _fixed_cases(4, COMPLETE_STEP_SETS, nonneg=True):
+        for S, p in _fixed_cases(4, COMPLETE_STEP_SETS, nonneg=True):
             realised = Counter((_frozen(_in_types(f)), _frozen(_out_steps(f)))
-                               for f in enumerate_sfunctions(S, p, regime))
+                               for f in enumerate_sfunctions(S, p))
             vset = VertexSet(p)
             free = [v for v in vset.vertices() if v.k != 1]
             step_choices = [[s for s in S if 0 <= v.i - s <= p.r] for v in free]
@@ -445,12 +452,12 @@ class TestFixedKinds:
                     if _children_of(vertex_in, S.m) == Counter(out):
                         want = realised[(_frozen(vertex_in), _frozen(steps))]
                         assert count_function_family(
-                            "complete_fixed", regime, S,
+                            "complete_fixed", S,
                             vertex_in_types=vertex_in, out=out) == want, (S, str(p))
                         tally["zero" if want == 0 else "compatible"] += 1
                     else:
                         with pytest.raises(REJECTED):
-                            count_function_family("complete_fixed", regime, S,
+                            count_function_family("complete_fixed", S,
                                                   vertex_in_types=vertex_in, out=out)
                         tally["incompatible"] += 1
         assert tally == {"compatible": 33, "zero": 17, "incompatible": 411}
@@ -459,19 +466,19 @@ class TestFixedKinds:
         S = StepSet([-1, 0, 1])
         # profile (1, 1) has one function, in which 0^1 has one preimage
         with pytest.raises(IncompatibleDistribution):
-            count_function_family("in_fixed", "nonneg", S, vertex_in_types={
+            count_function_family("in_fixed", S, vertex_in_types={
                 Vertex(0, 1): (0, 0, 2), Vertex(1, 1): (0, 0, 0)})
         # 1^2 is not a vertex of (1, 1)
         with pytest.raises(IncompatibleDistribution):
-            count_function_family("in_fixed", "nonneg", S, vertex_in_types={
+            count_function_family("in_fixed", S, vertex_in_types={
                 Vertex(0, 1): (0, 0, 1), Vertex(1, 2): (0, 0, 0)})
         # five vertices of out-type (1;1), but only one vertex at abscissa 1
         with pytest.raises(IncompatibleDistribution):
-            count_function_family("complete_fixed", "nonneg", PM, vertex_in_types={
+            count_function_family("complete_fixed", PM, vertex_in_types={
                 Vertex(0, 1): (0, 0, 1), Vertex(1, 1): (0, 0, 0)}, out={(1, 1): 5})
-        # a vertex at abscissa -1 in the nonneg regime
+        # a vertex at abscissa -1: complete types need ell = 0
         with pytest.raises(HypothesisViolation):
-            count_function_family("complete_fixed", "nonneg", PM, vertex_in_types={
+            count_function_family("complete_fixed", PM, vertex_in_types={
                 Vertex(-1, 1): (0, 0, 0), Vertex(0, 1): (1, 0, 0)}, out={(-1, -1): 1})
 
 

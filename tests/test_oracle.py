@@ -10,7 +10,9 @@ from embtrees import (
     BudgetExceeded,
     EnumerationBudget,
     Profile,
+    SFunction,
     StepSet,
+    Vertex,
     census_by_type,
     count_function_family,
     enumerate_embedded_cayley,
@@ -39,32 +41,29 @@ PM = StepSet([-1, 1])
 
 class TestCardinalities:
     def test_forced_function(self):
-        funcs = list(enumerate_sfunctions(PM, Profile.parse("2,1"), "nonneg"))
+        funcs = list(enumerate_sfunctions(PM, Profile.parse("2,1")))
         assert len(funcs) == 1
 
     def test_single_vertex(self):
-        funcs = list(enumerate_sfunctions(StepSet([0, 1]), Profile.parse("1"),
-                                          "nonneg"))
+        funcs = list(enumerate_sfunctions(StepSet([0, 1]), Profile.parse("1")))
         assert len(funcs) == 1 and funcs[0].image == {}
 
     def test_function_count_matches_lemma(self):
         for S in (PM, StepSet([-1, 0, 1])):
             for p in profiles_up_to(5):
-                regime = "nonneg" if p.ell == 0 else "general"
-                got = sum(1 for _ in enumerate_sfunctions(S, p, regime))
-                assert got == count_function_family("profile", regime, S,
+                got = sum(1 for _ in enumerate_sfunctions(S, p))
+                assert got == count_function_family("profile", S,
                                                     profile=p)
 
     def test_trees_equinumerous_with_functions(self):
         for S in ALL_STEP_SETS:
             for p in profiles_up_to(4, nonneg=(S.m != -1) or None):
-                regime = "nonneg" if p.ell == 0 else "general"
-                nf = sum(1 for _ in enumerate_sfunctions(S, p, regime))
-                nt = sum(1 for _ in enumerate_marked_strees(S, p, regime))
+                nf = sum(1 for _ in enumerate_sfunctions(S, p))
+                nt = sum(1 for _ in enumerate_marked_strees(S, p))
                 assert nf == nt, (S, str(p))
 
     def test_marked_tree_pin(self):
-        trees = list(enumerate_marked_strees(PM, Profile.parse("1,1"), "nonneg"))
+        trees = list(enumerate_marked_strees(PM, Profile.parse("1,1")))
         assert len(trees) == 1
         t = trees[0]
         assert t.mark == (1, 1) and t.parent[(1, 1)] == (0, 1)
@@ -96,9 +95,9 @@ class TestDeterminism:
         for _ in range(2):
             runs.append([
                 [sfunction_to_json(f)
-                 for f in enumerate_sfunctions(S, p, "general")],
+                 for f in enumerate_sfunctions(S, p)],
                 [marked_stree_to_json(t)
-                 for t in enumerate_marked_strees(S, p, "general")],
+                 for t in enumerate_marked_strees(S, p)],
                 [embedded_cayley_to_json(t)
                  for t in enumerate_embedded_cayley(S, p)],
                 [sary_to_json(t) for t in enumerate_sary(S, p)],
@@ -106,6 +105,43 @@ class TestDeterminism:
         assert runs[0] == runs[1]
         for stream in runs[0]:
             assert len(stream) == len(set(stream))
+
+
+class TestSFunctionArguments:
+    STEP_SETS = [StepSet(s) for s in ([1], [0, 1], [-2, 1], [-2, -1, 1])]
+
+    @pytest.mark.parametrize("constraint", [None, "relaxed_spine"])
+    @pytest.mark.parametrize("S", STEP_SETS, ids=str)
+    def test_every_yielded_function_is_valid(self, S, constraint):
+        # the spine arcs that (F) forces at negative abscissas need step -1
+        for p in profiles_up_to(4):
+            for f in enumerate_sfunctions(S, p, constraint=constraint):
+                SFunction(f.vertex_set, f.step_set, f.image)
+
+    def test_spine_needs_step_minus_one(self):
+        S = StepSet([0, 1])
+        assert list(enumerate_sfunctions(S, Profile.parse("1;1"))) == []
+        # with the V_0 clause dropped -1^1 may take the step 0
+        relaxed = enumerate_sfunctions(S, Profile.parse("1;1"), constraint="relaxed_spine")
+        assert [f.image for f in relaxed] == [{Vertex(-1, 1): Vertex(-1, 1)}]
+
+    @pytest.mark.parametrize("constraint", [
+        "injectve", ("out_type", {}), ("out_types",), ["injective"]], ids=str)
+    def test_unknown_constraint_raises(self, constraint):
+        S, p = StepSet([-1, 0, 1]), Profile.parse("1,2,2")
+        assert sum(1 for _ in enumerate_sfunctions(S, p, constraint="injective")) == 12
+        with pytest.raises(ValueError, match="unknown constraint"):
+            list(enumerate_sfunctions(S, p, constraint=constraint))
+
+    def test_regime_is_the_profile_case(self):
+        p = Profile.parse("2;2,1")
+        assert (list(enumerate_sfunctions(PM, p, "general"))
+                == list(enumerate_sfunctions(PM, p)))
+        for regime in ("nonneg", "generl"):
+            with pytest.raises(ValueError, match="does not match"):
+                list(enumerate_sfunctions(PM, p, regime))
+        with pytest.raises(ValueError, match="does not match"):
+            list(enumerate_sfunctions(PM, Profile.parse("2,1"), "general"))
 
 
 class TestBudget:

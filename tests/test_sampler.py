@@ -39,25 +39,32 @@ def chi_square_uniform(counts: dict, support_size: int, draws: int) -> float:
 
 class TestFunctionSampler:
     def test_forced(self):
-        f = sample_sfunction(PM, Profile.parse("2,1"), "nonneg", seed=1)
-        only = next(iter(enumerate_sfunctions(PM, Profile.parse("2,1"), "nonneg")))
+        f = sample_sfunction(PM, Profile.parse("2,1"), seed=1)
+        only = next(iter(enumerate_sfunctions(PM, Profile.parse("2,1"))))
         assert f == only
 
+    def test_profile_decides_the_hypothesis(self):
+        S = StepSet([0, 1])
+        f = sample_sfunction(S, Profile.parse("1,1"), seed=1)
+        assert f == next(iter(enumerate_sfunctions(S, Profile.parse("1,1"))))
+        with pytest.raises(HypothesisViolation):
+            sample_sfunction(S, Profile.parse("1;1"), seed=1)
+
     def test_determinism(self):
-        a = sample_sfunction(PM, Profile.parse("2;2,1"), "general", seed=7)
-        b = sample_sfunction(PM, Profile.parse("2;2,1"), "general", seed=7)
+        a = sample_sfunction(PM, Profile.parse("2;2,1"), seed=7)
+        b = sample_sfunction(PM, Profile.parse("2;2,1"), seed=7)
         assert a == b
 
     def test_uniformity(self):
         p = Profile.parse("2;2,1")
         support = {sfunction_to_json(f)
-                   for f in enumerate_sfunctions(PM, p, "general")}
+                   for f in enumerate_sfunctions(PM, p)}
         assert len(support) == 12
         rng = CountingRandom(SEED)
         counts: dict = {}
         draws = 6000
         for _ in range(draws):
-            key = sfunction_to_json(sample_sfunction(PM, p, "general", rng))
+            key = sfunction_to_json(sample_sfunction(PM, p, rng))
             assert key in support
             counts[key] = counts.get(key, 0) + 1
         assert chi_square_uniform(counts, len(support), draws) > 1e-3

@@ -74,8 +74,7 @@ def random_profile(rng: random.Random, n: int, width: int, negative: bool) -> Pr
 def test_round_trip_and_censuses_near_one_thousand(seed, steps, negative):
     rng = random.Random(seed)
     p = random_profile(rng, 1000, 6, negative)
-    regime = "general" if negative else "nonneg"
-    f = sample_sfunction(steps, p, regime, rng)
+    f = sample_sfunction(steps, p, rng)
     tree = psi(f) if negative else phi(f)
     assert (psi_inverse(tree) if negative else phi_inverse(tree)) == f
     d_f, d_t = type_distribution_of(f), type_distribution_of(tree)
@@ -175,7 +174,7 @@ def test_bijection_outputs_are_pinned():
         n_max = 5 if steps == StepSet([-1, 1]) else 4
         for p in profiles_up_to(n_max, nonneg=None if steps.m == -1 else True):
             general = p.ell < 0
-            for f in enumerate_sfunctions(steps, p, "general" if general else "nonneg"):
+            for f in enumerate_sfunctions(steps, p):
                 tree, trace = (psi_with_trace if general else phi_with_trace)(f)
                 back = (psi_inverse if general else phi_inverse)(tree)
                 cases.add(trace.get("case"))
@@ -201,9 +200,8 @@ def test_census_outputs_are_pinned():
     count = 0
     for steps in CENSUS_STEP_SETS:
         for p in profiles_up_to(4, nonneg=None if steps.m == -1 else True):
-            regime = "general" if p.ell < 0 else "nonneg"
-            for obj in [*enumerate_marked_strees(steps, p, regime),
-                        *enumerate_sfunctions(steps, p, regime),
+            for obj in [*enumerate_marked_strees(steps, p),
+                        *enumerate_sfunctions(steps, p),
                         *enumerate_embedded_cayley(steps, p),
                         *enumerate_sary(steps, p)]:
                 dist = type_distribution_of(obj, m=steps.m)
@@ -269,8 +267,7 @@ def test_phi_equals_phi2_after_phi1_near_one_thousand(steps):
     # phi hands its own input to the repair step; phi2 rebuilds it
     for seed in (1, 2, 3):
         rng = random.Random(seed)
-        f = sample_sfunction(steps, random_profile(rng, 1000, 6, False),
-                             "nonneg", rng)
+        f = sample_sfunction(steps, random_profile(rng, 1000, 6, False), rng)
         assert phi(f) == phi2(phi1(f))
 
 
@@ -279,8 +276,7 @@ def test_psi_records_the_case_classify_case_finds():
     for steps in STEP_SETS:
         for seed in range(1, 13):
             rng = random.Random(seed)
-            f = sample_sfunction(steps, random_profile(rng, 1000, 6, True),
-                                 "general", rng)
+            f = sample_sfunction(steps, random_profile(rng, 1000, 6, True), rng)
             case = psi_with_trace(f)[1]["case"]
             assert case == classify_case(f)
             cases.add(case)
