@@ -30,10 +30,10 @@ from .core import (
 )
 from .formulas import (
     TargetTree,
-    WeightAssignment,
     _multinomial,
     _out_spine,
     _spine,
+    _weights,
     configuration_sum,
     product,
 )
@@ -130,36 +130,36 @@ def closed_P_out(g: CycleGraph, out: Mapping[tuple[int, int], int]) -> Fraction:
 
 
 def eval_P_refined(g: CycleGraph, y: Mapping[int, Fraction | int],
-                   weights: WeightAssignment | Mapping | None = None) -> Fraction:
+                   weights: Mapping | None = None) -> Fraction:
     """The weighted configuration sum:
     sum_C (-1)^{|C|} (prod_{(i,i-s) in C} x_{i,s})
       prod_i ((sum_s y_{i-s} x_{i,s})^{chi_{i not in C}}
               (y_i - chi_{i=0})^{chi_{i in C}})."""
-    w = WeightAssignment.coerce(weights)
+    x = _weights(weights)
 
     def yv(i: int) -> Fraction | int:
         return y.get(i, 0) if g.ell <= i <= g.r else 0
 
     levels = range(g.ell, g.r + 1)
-    off_cycle = {i: sum(yv(i - s) * w.get(i, s) for s in g.step_set) for i in levels}
+    off_cycle = {i: sum(yv(i - s) * x(i, s) for s in g.step_set) for i in levels}
     on_cycle = {i: yv(i) - (1 if i == 0 else 0) for i in levels}
-    return Fraction(configuration_sum(g.step_set, g.ell, g.r, off_cycle, on_cycle, w.get))
+    return Fraction(configuration_sum(g.step_set, g.ell, g.r, off_cycle, on_cycle, x))
 
 
 def closed_P_refined(g: CycleGraph, y: Mapping[int, Fraction | int],
-                     weights: WeightAssignment | Mapping | None = None) -> Fraction:
+                     weights: Mapping | None = None) -> Fraction:
     """Closed form: prod_{i<0} x_{i,-1} prod_{i>0} x_{i,1}
     (sum_s x_{0,s} y_{-s}) prod_{l+1}^{r-1} y_i, with the same base-case
     exception as the unweighted lemma: x_{0,0} chi_{0 in S} when l = r = 0."""
-    weights = WeightAssignment.coerce(weights)
+    x = _weights(weights)
     if g.ell == 0 and g.r == 0:
-        return Fraction(weights.get(0, 0) if 0 in g.step_set else 0)
+        return Fraction(x(0, 0) if 0 in g.step_set else 0)
 
     def yv(i: int) -> Fraction:
         return Fraction(y.get(i, 0)) if g.ell <= i <= g.r else Fraction(0)
 
-    value = Fraction(_spine(weights.get, g.ell, g.r))
-    value *= sum(weights.get(0, s) * yv(-s) for s in g.step_set)
+    value = Fraction(_spine(x, g.ell, g.r))
+    value *= sum(x(0, s) * yv(-s) for s in g.step_set)
     for i in range(g.ell + 1, g.r):
         value *= yv(i)
     return value
@@ -227,7 +227,7 @@ def _minor_det(verts: list, arcs: Callable[[object], list], root) -> Fraction:
 
 
 def laplacian_minor_det(profile: Profile, step_set: StepSet,
-                        weights: WeightAssignment | Mapping | None = None
+                        weights: Mapping | None = None
                         ) -> Fraction:
     """det of the Laplacian of K with the row and column of 0^{n_0} removed:
     the generating function of spanning trees of K rooted at 0^{n_0}.  K is
@@ -239,25 +239,25 @@ def laplacian_minor_det(profile: Profile, step_set: StepSet,
     """
     if profile.n > 60:
         raise BudgetExceeded("dense exact determinant guard: n <= 60")
-    weights = WeightAssignment.coerce(weights)
+    x = _weights(weights)
     vset = VertexSet(profile)
 
     def arcs(v: Vertex) -> list[tuple[Vertex, Fraction | int]]:
-        return [(w, weights.get(v.i, s)) for s in step_set
+        return [(w, x(v.i, s)) for s in step_set
                 for w in vset.level(v.i - s) if w != v]
 
     return _minor_det(list(vset.vertices()), arcs, Vertex(0, profile.count(0)))
 
 
 def spanning_trees_direct(profile: Profile, step_set: StepSet,
-                          weights: WeightAssignment | Mapping | None = None,
+                          weights: Mapping | None = None,
                           root: Vertex | None = None) -> Fraction:
     """Direct enumeration of spanning trees of K rooted at `root` (default
     0^{n_0}), summing the product of arc weights; the oracle for the minor."""
     p = profile
     if p.n > 6:
         raise BudgetExceeded("direct spanning-tree enumeration guard: n <= 6")
-    weights = WeightAssignment.coerce(weights)
+    x = _weights(weights)
     vset = VertexSet(p)
     if root is None:
         root = Vertex(0, p.count(0))
@@ -269,21 +269,21 @@ def spanning_trees_direct(profile: Profile, step_set: StepSet,
         for s in step_set:
             for w in vset.level(v.i - s):
                 if w != v:
-                    opts.append((w, weights.get(v.i, s)))
+                    opts.append((w, x(v.i, s)))
         choices.append(opts)
     total = Fraction(0)
     for combo in itertools.product(*choices):
         parent = {v: w for v, (w, _x) in zip(others, combo)}
         if is_tree(parent, root):
             term = Fraction(1)
-            for _v, (_w, x) in zip(others, combo):
-                term *= x
+            for _v, (_w, weight) in zip(others, combo):
+                term *= weight
             total += term
     return total
 
 
 def cayley_from_spanning(profile: Profile, step_set: StepSet,
-                         weights: WeightAssignment | Mapping | None = None
+                         weights: Mapping | None = None
                          ) -> Fraction:
     """Embedded-tree generating function from the spanning-tree one:
     n_0 n! / prod_{i=l}^{r} n_i! times the rooted minor determinant."""

@@ -28,6 +28,7 @@ from .core import (
     _sfunction_of,
     canonical_json,
     embedded_cayley_to_json,
+    hypothesis_holds,
     marked_stree_from_json,
     marked_stree_to_json,
     sary_to_json,
@@ -40,13 +41,18 @@ from .core import (
 PARSE_ERRORS = (HypothesisViolation, InvalidProfile, IncompatibleDistribution)
 
 
+def _clip(text: str) -> str:
+    """text, or its first 80 characters and "..." when it is longer."""
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _parsed(parse, text: str, error: type[EmbTreesError]):
-    """parse(text), reporting a malformed text as `error` (exit 2); any other
-    ValueError is internal and propagates."""
+    """parse(text), reporting a malformed text as `error` (exit 2) on one
+    short line that quotes at most a prefix of the text."""
     try:
         return parse(text)
     except ValueError as exc:
-        raise error(f"cannot parse {text!r}: {exc}") from exc
+        raise error(f"cannot parse {_clip(repr(text))}: {_clip(str(exc))}") from exc
 
 
 def _parse_steps(text: str) -> StepSet:
@@ -58,11 +64,14 @@ def _parse_profile(text: str) -> Profile:
 
 
 def _read_input(path: str) -> str:
-    """The text of the file at path, or of stdin for "-"; an unreadable file
-    or undecodable text is a parse error (exit 2)."""
+    """The text of the file at path, or of stdin for "-", decoded as strict
+    UTF-8 whatever the locale; an unreadable file or undecodable text is a
+    parse error (exit 2).  A stdin without a byte buffer (io.StringIO) is
+    read as text."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
@@ -158,7 +167,7 @@ def _check_bijections(step_set: StepSet, max_n: int) -> dict:
     ok = True
     checked = 0
     for p in _profiles_up_to(max_n):
-        if p.ell < 0 and step_set.m != -1:
+        if not hypothesis_holds(step_set, p.ell):
             continue
         for f in oracle.enumerate_sfunctions(step_set, p):
             t = phi(f) if p.ell == 0 else psi(f)
@@ -176,7 +185,7 @@ def _check_identities(span: int, trials: int = 100) -> dict:
     for steps in ([1], [-1, 1], [-1, 0, 1]):
         S = StepSet(steps)
         for ell in range(-span, 1):
-            if ell < 0 and S.m != -1:
+            if not hypothesis_holds(S, ell):
                 continue
             for r in range(0, span + 1):
                 g = algebra.CycleGraph(ell, r, S)
@@ -188,7 +197,7 @@ def _check_identities(span: int, trials: int = 100) -> dict:
                     ok = ok and (algebra.eval_P_refined(g, y, x)
                                  == algebra.closed_P_refined(g, y, x))
         for p in _profiles_up_to(min(span + 1, 5)):
-            if p.ell < 0 and S.m != -1:
+            if not hypothesis_holds(S, p.ell):
                 continue
             g = algebra.CycleGraph(p.ell, p.r, S)
             for out in oracle.compatible_distributions(S, p, "out"):

@@ -195,12 +195,16 @@ class Profile:
         return f"{neg};{pos}"
 
 
+def hypothesis_holds(step_set: StepSet, ell: int) -> bool:
+    """The hypothesis under which the bijections and the product formulas
+    hold: ell = 0 or min S = -1 (max S = 1 is enforced by StepSet itself).
+    ell = 0 is the non-negative case (phi), ell < 0 the general one (psi)."""
+    return ell == 0 or step_set.m == -1
+
+
 def validate_profile_for(step_set: StepSet, profile: Profile) -> None:
-    """Check the hypothesis under which the bijections and the product
-    formulas hold: a profile with ell < 0 needs min S = -1 (max S = 1 is
-    enforced by StepSet itself).  ell = 0 is the non-negative case (phi),
-    ell < 0 the general one (psi)."""
-    if profile.ell < 0 and step_set.m != -1:
+    """Raise HypothesisViolation unless hypothesis_holds for the profile."""
+    if not hypothesis_holds(step_set, profile.ell):
         raise HypothesisViolation(
             f"ell = {profile.ell} < 0 needs min S = -1, got min S = {step_set.m}")
 
@@ -954,22 +958,6 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def step_set_to_json(s: StepSet) -> str:
-    return canonical_json(list(s.steps))
-
-
-def step_set_from_json(text: str) -> StepSet:
-    return StepSet(json.loads(text))
-
-
-def profile_to_json(p: Profile) -> str:
-    return canonical_json(str(p))
-
-
-def profile_from_json(text: str) -> Profile:
-    return Profile.parse(json.loads(text))
-
-
 def sfunction_to_json(f: SFunction) -> str:
     image = [[v.i, v.k, w.i, w.k] for v, w in sorted(f.image.items())]
     return canonical_json({
@@ -1126,14 +1114,3 @@ def type_distribution_to_json(d: TypeDistribution) -> str:
         "complete": [[i, s, list(cv), c] for (i, s, cv), c in d.complete_counts],
         "root_in": list(d.root_in_type),
     })
-
-
-def type_distribution_from_json(text: str) -> TypeDistribution:
-    data = json.loads(text)
-    return TypeDistribution(
-        m=data["m"],
-        out_counts=tuple(((i, s), c) for i, s, c in data["out"]),
-        in_counts=tuple(((i, tuple(cv)), c) for i, cv, c in data["in"]),
-        complete_counts=tuple(((i, s, tuple(cv)), c) for i, s, cv, c in data["complete"]),
-        root_in_type=tuple(data["root_in"]),
-    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -33,6 +33,7 @@ from .core import (
     StepSet,
     Vertex,
     _children,
+    hypothesis_holds,
     validate_profile_for,
 )
 
@@ -70,6 +71,13 @@ def product(factors: Factors, what: str) -> BigCount:
     if rest:
         raise NonIntegerResult(f"{what} evaluated to non-integer {Fraction(num, den)}")
     return quotient
+
+
+def _weights(weights: Mapping | None) -> Callable[[int, int], Fraction | int]:
+    """x(i, s): the weight x_{i,s} of out-type (i;s) as a Fraction, 1 where
+    weights give none (everywhere for None)."""
+    table = {(i, s): Fraction(w) for (i, s), w in (weights or {}).items()}
+    return lambda i, s: table.get((i, s), 1)
 
 
 def _spine(x: Callable[[int, int], Fraction | int], ell: int, r: int) -> Fraction | int:
@@ -139,21 +147,14 @@ def _marked_vertex(p: Profile) -> tuple[str, Fraction]:
 
 
 def _image_sums(step_set: StepSet, p: Profile,
-                w: WeightAssignment | None = None) -> dict[int, Fraction | int]:
-    """d_i = sum_s n_{i-s} x_{i,s} for every abscissa i (n_j = 0 outside
-    [ell, r]); x = 1 without w."""
-    if w is None:
-        return {i: sum(p.count(i - s) for s in step_set) for i in p.abscissas()}
-    return {i: sum(p.count(i - s) * w.get(i, s) for s in step_set) for i in p.abscissas()}
-
-
-def _closed_form_applies(step_set: StepSet, p: Profile) -> bool:
-    """The paper's product formulas hold when min S = -1 or ell = 0."""
-    return step_set.m == -1 or p.ell == 0
+                x: Callable[[int, int], Fraction | int]) -> dict[int, Fraction | int]:
+    """d_i = sum_s n_{i-s} x(i, s) for every abscissa i (n_j = 0 outside
+    [ell, r])."""
+    return {i: sum(p.count(i - s) * x(i, s) for s in step_set) for i in p.abscissas()}
 
 
 def cayley_factors(step_set: StepSet, profile: Profile,
-                   weights: WeightAssignment | Mapping | None = None) -> Factors:
+                   weights: Mapping | None = None) -> Factors:
     """S-embedded Cayley trees with a given vertical profile, x_{i,s} marking
     the vertices of out-type (i;s) (all x = 1 when weights is None).  With
     d_i = sum_s n_{i-s} x_{i,s}, where min S = -1 or ell = 0 this is the
@@ -166,30 +167,29 @@ def cayley_factors(step_set: StepSet, profile: Profile,
     on[i] = n_i - chi_{i=0} and arc = x.
     """
     p = profile
-    w = None if weights is None else WeightAssignment.coerce(weights)
-    x = "" if w is None else " x_{i,s}"
-    d = _image_sums(step_set, p, w)
-    if _closed_form_applies(step_set, p):
+    x = _weights(weights)
+    mark = "" if weights is None else " x_{i,s}"
+    d = _image_sums(step_set, p, x)
+    if hypothesis_holds(step_set, p.ell):
         rows = [_marked_vertex(p),
                 ("relabelings n!/prod (n_i-1)!", math.factorial(p.n) // math.prod(
                     math.factorial(ni - 1) for _i, ni in p.items()))]
-        if w is not None:
+        if weights is not None:
             rows.append(("spine weights prod_{i<0} x_{i,-1} prod_{i>0} x_{i,1}",
-                         _spine(w.get, p.ell, p.r)))
-        return rows + [(f"image choices at abscissa {i}: (sum_s n_{{i-s}}{x})^(n_i-1)",
+                         _spine(x, p.ell, p.r)))
+        return rows + [(f"image choices at abscissa {i}: (sum_s n_{{i-s}}{mark})^(n_i-1)",
                         d[i] ** (ni - 1)) for i, ni in p.items()]
     n0 = p.count(0)
     off = {**d, 0: d[0] if n0 > 1 else 1}
     on = {i: ni - (i == 0) for i, ni in p.items()}
-    arc = (w or WeightAssignment()).get
     return [("root multiplicity n_0", n0),
             ("relabelings n!/prod n_i!", _multinomial(p.counts)),
-            *((f"image choices at abscissa {i}: (sum_s n_{{i-s}}{x})^(n_i-1)",
+            *((f"image choices at abscissa {i}: (sum_s n_{{i-s}}{mark})^(n_i-1)",
                d[i] ** (ni - 1)) for i, ni in p.items() if i != 0),
-            (f"image choices at abscissa 0: (sum_s n_{{-s}}{x})^max(n_0-2,0)",
+            (f"image choices at abscissa 0: (sum_s n_{{-s}}{mark})^max(n_0-2,0)",
              d[0] ** max(n0 - 2, 0)),
             ("configuration sum P_{ell,r}",
-             configuration_sum(step_set, p.ell, p.r, off, on, arc))]
+             configuration_sum(step_set, p.ell, p.r, off, on, x))]
 
 
 def count_cayley_profile(step_set: StepSet, profile: Profile) -> BigCount:
@@ -206,8 +206,8 @@ def sary_factors(step_set: StepSet, profile: Profile) -> Factors:
     off[i] = C(d_i, n_i - chi_{i=0}), on[i] = C(d_i - 1, n_i - chi_{i=0} - 1)
     and arc = 1."""
     p = profile
-    d = _image_sums(step_set, p)
-    if _closed_form_applies(step_set, p):
+    d = _image_sums(step_set, p, _weights(None))
+    if hypothesis_holds(step_set, p.ell):
         return [_marked_vertex(p),
                 ("level 0: C(sum_s n_-s, n_0 - 1)", comb(d[0], p.count(0) - 1)),
                 *((f"level {i}: C(sum_s n_{{i-s}} - 1, n_i - 1)", comb(d[i] - 1, ni - 1))
@@ -425,16 +425,10 @@ def _cayley_out(step_set: StepSet, out: OutDist) -> tuple[Profile, Factors]:
                _inverse_factorials("1/prod n(i,s)!", out.values())]
 
 
-def cayley_out_factors(step_set: StepSet, out: OutDist) -> Factors:
+def count_cayley_out(step_set: StepSet, out: OutDist) -> BigCount:
     """S-embedded Cayley trees with n(i,s) non-root vertices of out-type (i;s):
     n! prod_i n_i^{c(i)-1} prod_{i<0} n(i,-1) prod_{i>0} n(i,1) / prod n(i,s)!."""
-    return _cayley_out(step_set, out)[1]
-
-
-def count_cayley_out(step_set: StepSet, out: OutDist) -> BigCount:
-    """S-embedded Cayley trees with a given out-type distribution
-    (cayley_out_factors)."""
-    return product(cayley_out_factors(step_set, out), "Cayley out-type count")
+    return product(_cayley_out(step_set, out)[1], "Cayley out-type count")
 
 
 def _sary_out(step_set: StepSet, out: OutDist) -> tuple[Profile, Factors]:
@@ -445,45 +439,14 @@ def _sary_out(step_set: StepSet, out: OutDist) -> tuple[Profile, Factors]:
                 math.prod(comb(p.count(i - s), c) for (i, s), c in out.items()))]
 
 
-def sary_out_factors(step_set: StepSet, out: OutDist) -> Factors:
+def count_sary_out(step_set: StepSet, out: OutDist) -> BigCount:
     """S-ary trees with n(i,s) non-root vertices of out-type (i;s):
     (prod_{i<0} n(i,-1) prod_{i>0} n(i,1) / prod_i n_i) prod C(n_{i-s}, n(i,s))."""
-    return _sary_out(step_set, out)[1]
-
-
-def count_sary_out(step_set: StepSet, out: OutDist) -> BigCount:
-    """S-ary trees with a given out-type distribution (sary_out_factors)."""
-    return product(sary_out_factors(step_set, out), "S-ary out-type count")
-
-
-@dataclass(frozen=True)
-class WeightAssignment:
-    """Exact rational weights x_{i,s} on out-types, defaulting to 1."""
-
-    weights: tuple[tuple[tuple[int, int], Fraction], ...] = ()
-    _table: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_table", dict(self.weights))
-
-    @staticmethod
-    def of(mapping: Mapping[tuple[int, int], Fraction | int]) -> "WeightAssignment":
-        return WeightAssignment(tuple(sorted(
-            ((i, s), Fraction(w)) for (i, s), w in mapping.items())))
-
-    @staticmethod
-    def coerce(weights: "WeightAssignment | Mapping | None") -> "WeightAssignment":
-        """The assignment itself, one built from a mapping, or all ones for None."""
-        if isinstance(weights, WeightAssignment):
-            return weights
-        return WeightAssignment.of(weights or {})
-
-    def get(self, i: int, s: int) -> Fraction | int:
-        return self._table.get((i, s), 1)
+    return product(_sary_out(step_set, out)[1], "S-ary out-type count")
 
 
 def eval_out_gf(step_set: StepSet, profile: Profile,
-                weights: WeightAssignment | Mapping | None = None) -> Fraction:
+                weights: Mapping | None = None) -> Fraction:
     """Generating function of S-embedded Cayley trees with the given profile,
     x_{i,s} marking vertices of out-type (i;s): the product of cayley_factors."""
     return Fraction(*_ratio(cayley_factors(step_set, profile, weights)))
@@ -502,31 +465,20 @@ def _cayley_in(step_set: StepSet, inn: InDist) -> tuple[Profile, Factors]:
     return p, [("n!", math.factorial(p.n)), *rows]
 
 
-def cayley_in_factors(step_set: StepSet, inn: InDist) -> Factors:
+def count_cayley_in(step_set: StepSet, inn: InDist) -> BigCount:
     """S-embedded Cayley trees (S = [m, 1]) with n(i,c) vertices of in-type
     (i;c): n! prod (n_i-1)! prod_{i<0} n(i,-1) prod_{i>0} n(i,1)
     / (prod n(i,c)! prod_{b,s} b!^{n_s(b)})."""
-    return _cayley_in(step_set, inn)[1]
+    return product(_cayley_in(step_set, inn)[1], "Cayley in-type count")
 
 
-def count_cayley_in(step_set: StepSet, inn: InDist) -> BigCount:
-    """S-embedded Cayley trees with a given in-type distribution
-    (cayley_in_factors)."""
-    return product(cayley_in_factors(step_set, inn), "Cayley in-type count")
-
-
-def sary_in_factors(step_set: StepSet, inn: InDist) -> Factors:
+def count_sary_in(step_set: StepSet, inn: InDist) -> BigCount:
     """S-ary trees with a prescribed in-type distribution: the Cayley rows
     without n! (trees with all c-components <= 1 are injective)."""
     for (i, cv), c in inn.items():
         if c and any(b > 1 for b in cv):
             raise NotInjective(f"in-type ({i};{cv}) has a component > 1")
-    return _in_rows(step_set, inn)[1]
-
-
-def count_sary_in(step_set: StepSet, inn: InDist) -> BigCount:
-    """S-ary trees with a given in-type distribution (sary_in_factors)."""
-    return product(sary_in_factors(step_set, inn), "S-ary in-type count")
+    return product(_in_rows(step_set, inn)[1], "S-ary in-type count")
 
 
 def _cayley_complete(step_set: StepSet, root_in: CVec, comp: CompleteDist
@@ -548,8 +500,8 @@ def _cayley_complete(step_set: StepSet, root_in: CVec, comp: CompleteDist
                    (cv, c) for (_i, _s, cv), c in comp.items())])]
 
 
-def cayley_complete_factors(step_set: StepSet, root_in: CVec,
-                            comp: CompleteDist) -> Factors:
+def count_cayley_complete(step_set: StepSet, root_in: CVec,
+                          comp: CompleteDist) -> BigCount:
     """Non-negative S-embedded Cayley trees (S = [m,-1] union {1}) whose root
     has in-type (0;c_0) and which have n(i,s,c) non-root vertices of complete
     type (i;s;c):
@@ -557,14 +509,7 @@ def cayley_complete_factors(step_set: StepSet, root_in: CVec,
     c_0^1 n! prod n(i,s)! prod_{i=1}^{r-1} (sum_b b n_1(i,1,b))
     / (prod n(i,s,c)! prod_{i>0} n(i,1) prod_{b,s} b!^{n_s(b)}).
     """
-    return _cayley_complete(step_set, root_in, comp)[1]
-
-
-def count_cayley_complete(step_set: StepSet, root_in: CVec,
-                          comp: CompleteDist) -> BigCount:
-    """Non-negative S-embedded Cayley trees with a given root in-type and
-    complete-type distribution (cayley_complete_factors)."""
-    return product(cayley_complete_factors(step_set, root_in, comp),
+    return product(_cayley_complete(step_set, root_in, comp)[1],
                    "Cayley complete-type count")
 
 

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import (
+    BudgetExceeded,
     EmbeddedCayleyTree,
-    HypothesisViolation,
     InfeasibleProfile,
     MarkedSTree,
     Profile,
@@ -199,35 +199,32 @@ class ProfileLaw:
             yield Profile(counts, ell=ell), prob
 
 
+# family: (the largest n its law enumerates, the count of one profile over S)
+_LAWS = {
+    "binary": (14, lambda _step_set, p: formulas.count_binary_profile(p)),
+    "sary": (14, formulas.count_sary_profile),
+    "cayley": (8, formulas.count_cayley_profile),
+}
+
+
 def profile_law(n: int, family: str,
                 step_set: StepSet | None = None) -> ProfileLaw:
     """The law over all profiles of size n for family "binary", "sary"
     (needs step_set), or "cayley" (needs step_set).  Below min S = -1 a tree
     can leave an abscissa empty; it has no Profile, so the law is over the
     trees without an empty abscissa and total counts only those."""
-    if family == "binary":
-        if n > 14:
-            raise HypothesisViolation("binary profile law guard: n <= 14")
-        count = formulas.count_binary_profile
-    elif family == "sary":
-        if step_set is None:
-            raise ValueError("sary law needs a step set")
-        if n > 14:
-            raise HypothesisViolation("S-ary profile law guard: n <= 14")
-        count = lambda p: formulas.count_sary_profile(step_set, p)
-    elif family == "cayley":
-        if step_set is None:
-            raise ValueError("cayley law needs a step set")
-        if n > 8:
-            raise HypothesisViolation("Cayley profile law guard: n <= 8")
-        count = lambda p: formulas.count_cayley_profile(step_set, p)
-    else:
+    if family not in _LAWS:
         raise ValueError(f"unknown family {family!r}")
+    largest, count = _LAWS[family]
+    if step_set is None and family != "binary":
+        raise ValueError(f"{family} law needs a step set")
+    if n > largest:
+        raise BudgetExceeded(f"{family} profile law guard: n <= {largest}")
 
     masses = []
     total = 0
     for p in enumerate_profiles(n):
-        c = count(p)
+        c = count(step_set, p)
         if c:
             masses.append(((p.ell, p.counts), c))
             total += c

@@ -277,6 +277,28 @@ class TestMatrixTree:
             assert count_cayley_profile(S, p) == cayley_from_spanning(p, S), (steps, str(p))
             assert eval_out_gf(S, p, w) == cayley_from_spanning(p, S, w), (steps, str(p))
 
+class TestWeights:
+    def test_int_fraction_and_outside_keys_agree(self):
+        # weights are read as Fractions and default to 1: int values, the
+        # same values as Fractions, and extra keys outside [ell, r] agree
+        assert eval_out_gf(PM, Profile.parse("2;2,1"), {(0, 1): 2}) == 1200
+        for S in (PM, StepSet([-1, 0, 1]), StepSet([-2, -1, 1])):
+            for p in profiles_up_to(4):
+                ints = {(i, s): (i - s) % 3 + 2 for i in p.abscissas() for s in S}
+                fractions = {k: Fraction(v) for k, v in ints.items()}
+                outside = {**ints, (p.r + 1, 1): 7, (p.ell - 1, -1): Fraction(1, 3)}
+                g = CycleGraph(p.ell, p.r, S)
+                y = dict(p.items())
+                for f in (lambda w: eval_out_gf(S, p, w),
+                          lambda w: eval_P_refined(g, y, w),
+                          lambda w: closed_P_refined(g, y, w),
+                          lambda w: laplacian_minor_det(p, S, w)):
+                    values = [f(w) for w in (ints, fractions, outside)]
+                    assert all(type(v) is Fraction for v in values), (S, str(p))
+                    assert values[0] == values[1] == values[2], (S, str(p))
+                    assert f(None) == f({}), (S, str(p))
+
+
 class TestTreeInTreeDet:
     def test_pins(self):
         path3 = TargetTree.of(0, [(-1, 0), (0, 1)], {-1: 2, 0: 2, 1: 1})

@@ -134,16 +134,27 @@ class TestErrorClasses:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read {missing}")
         assert len(err.splitlines()) == 1
-        # bytes that are not UTF-8 text, from a file and from stdin
+        # bytes that are not UTF-8 text, from a file and from stdin, also
+        # under the C locale, where Python decodes stdin with surrogateescape
         binary = bytes(range(56, 256))
         garbled = tmp_path / "garbled.json"
         garbled.write_bytes(binary)
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(binary), "utf-8"))
-        for path in (str(garbled), "-"):
-            code, out, err = run(capsys, *command, "--input", path)
+        for errors in ("strict", "surrogateescape"):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                io.BytesIO(binary), "utf-8", errors=errors))
+            for path in (str(garbled), "-"):
+                code, out, err = run(capsys, *command, "--input", path)
+                assert code == 2 and out == ""
+                assert err.startswith(f"error: cannot read {path}")
+                assert len(err.splitlines()) == 1
+        # a long malformed text is quoted by a short prefix
+        for text in ("{" + "x" * 5000, '{"profile":"' + "x" * 5000 + '",'
+                     '"steps":[-1,1],"image":[],"root":[0,1],"mark":[1,1],"parent":[]}'):
+            garbled.write_text(text)
+            code, out, err = run(capsys, *command, "--input", str(garbled))
             assert code == 2 and out == ""
-            assert err.startswith(f"error: cannot read {path}")
-            assert len(err.splitlines()) == 1
+            assert err.startswith("error: cannot parse ")
+            assert len(err.splitlines()) == 1 and len(err) < 200
 
     @pytest.mark.parametrize("command", [("bijection", "forward"),
                                          ("bijection", "inverse"), ("types",)],
@@ -215,6 +226,11 @@ class TestLaw:
         assert code == 0
         data = json.loads(out)
         assert data["total"] == 2
+
+    def test_size_guard_exits_three(self, capsys):
+        code, out, err = run(capsys, "law", "binary", "-n", "15")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from embtrees import (
+    BudgetExceeded,
     HypothesisViolation,
     InfeasibleProfile,
     Profile,
@@ -166,7 +167,7 @@ class TestProfileLaw:
             assert prob == Fraction(count, law.total)
 
     def test_guards(self):
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(BudgetExceeded):
             profile_law(15, "binary")
 
     def test_law_below_minus_one_matches_oracle(self):
