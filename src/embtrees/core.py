@@ -852,20 +852,13 @@ class TypeDistribution:
 
 def _check_distribution(dist: TypeDistribution) -> None:
     """Check the three compatibility identities of a census: each family is
-    one pass over its table that sums both sides per abscissa or per (i, s),
+    one pass over its tables that sums both sides per abscissa or per (i, s),
     then compares them wherever either side is nonzero, so the check costs
     O(r + |types|).  The in- and complete families add _children's sum in
     the same pass instead of building its table apart, which matters on the
-    tiny censuses that phi and psi check on every call."""
+    tiny censuses that phi and psi check on every call.  No family builds a
+    Profile, so a census that leaves an abscissa empty (min S <= -2) passes."""
     m = dist.m
-    # n_i = chi_{i=0} + sum_s n(i,s)
-    out_at: dict[int, int] = {0: 1}
-    for (j, _s), c in dist.out.items():
-        out_at[j] = out_at.get(j, 0) + c
-    prof = dist.profile()
-    for i in prof.abscissas():
-        if out_at.get(i, 0) != prof.count(i):
-            raise IncompatibleDistribution(f"out counts at abscissa {i} do not match")
     # chi_{i=0} + sum_{s,c} c^s n(i-s, c) = sum_c n(i, c): left minus right
     gap: dict[int, int] = {0: 1}
     for (j, cv), c in dist.inn.items():
@@ -889,17 +882,35 @@ def _check_distribution(dist: TypeDistribution) -> None:
     for (i, s), diff in gaps.items():
         if diff:
             raise IncompatibleDistribution(f"complete counts at ({i},{s}) do not match")
+    # chi_{i=0} + sum_s n(i,s) = sum_c n(i,c) over the listed rows (both are
+    # n_i): left minus right
+    gap = {0: 1}
+    for (i, _s), c in dist.out_counts:
+        gap[i] = gap.get(i, 0) + c
+    for (i, _cv), c in dist.in_counts:
+        gap[i] = gap.get(i, 0) - c
+    for i in sorted(gap):
+        if gap[i]:
+            raise IncompatibleDistribution(f"out counts at abscissa {i} do not match")
 
 
 def type_distribution_of(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction | SAryTree",
-                         m: int | None = None, check: bool = True
-                         ) -> TypeDistribution:
-    """Exact census of out-, in-, and complete types of a tree or function.
+                         m: int | None = None) -> TypeDistribution:
+    """Exact census of out-, in-, and complete types of a tree or function,
+    checked against the compatibility identities.
 
     For S-functions, children means pre-images.  m defaults to min S of the
     object's step set (for S-ary trees it must be given); pass a smaller m to
-    embed into a wider interval.  check=False skips the compatibility-identity
-    validation (bulk sweeps).
+    embed into a wider interval.
+    """
+    if m is None and isinstance(obj, SAryTree):
+        raise ValueError("S-ary trees need an explicit m")
+    return _census(*_arcs(obj), obj.step_set.m if m is None else m)
+
+
+def _census(absc, parent, root, m: int) -> TypeDistribution:
+    """type_distribution_of on the arrays of _arcs: vertex -> abscissa,
+    vertex -> parent (every vertex but the root) and the root.
 
     Each non-root vertex is counted once, on the integer key
     ((i * width + s - m) * span + code) of its complete type, where code is
@@ -908,10 +919,6 @@ def type_distribution_of(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction | SA
     in-type counts are sums over the complete ones, and each distinct code
     is unpacked to its tuple once.
     """
-    if m is None and isinstance(obj, SAryTree):
-        raise ValueError("S-ary trees need an explicit m")
-    m = obj.step_set.m if m is None else m
-    absc, parent, root = _arcs(obj)
     codes, base = _codes(absc, parent, m)
     width = 2 - m
     span = base ** width
@@ -944,8 +951,7 @@ def type_distribution_of(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction | SA
         complete_counts=tuple(sorted(comp.items())),
         root_in_type=root_cv,
     )
-    if check:
-        _check_distribution(dist)
+    _check_distribution(dist)
     return dist
 
 

@@ -5,10 +5,10 @@ profile pruning, no counting shortcuts) so that it can be audited line by
 line.  Budgets cap the work: enumerators count elementary steps and raise
 BudgetExceeded past the cap.
 
-The census sweep walks only the trees rooted at label 1 and counts each n
-times.  That is exact: swapping the labels 1 and r maps the embedded trees
-rooted at r one-to-one onto those rooted at 1, and moves no abscissa, so
-every profile and every census key is kept.
+The census sweeps search once per DFS shape, not once per tree: a tree's
+census depends only on its shape (the DFS parent position of each vertex)
+and on where its DFS vertices land, so every placement of a shape counts
+once for each rooted tree on 1..n, whatever its root, that has the shape.
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ from .core import (
     SAryTree,
     SFunction,
     StepSet,
+    TypeDistribution,
     Vertex,
     VertexSet,
+    _census,
     _cvec_lookup,
     condition_t,
     condition_t1,
@@ -183,7 +185,7 @@ def _matches_constraint(f: SFunction, constraint: tuple) -> bool:
     if kind == "in_types":
         cvec = _cvec_lookup(f, f.step_set.m)
         return all(cvec(v) == tuple(cv) for v, cv in want.items())
-    dist = type_distribution_of(f, check=False)
+    dist = type_distribution_of(f)
     return dist.out_key() == tuple(sorted((k, c) for k, c in want.items() if c))
 
 
@@ -237,6 +239,7 @@ def _enumerate_strees(vset: VertexSet, step_set: StepSet, roots: list[Vertex],
 _ROOTED_TREE_CACHE: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
 _TRAVERSAL_CACHE: dict[int, list[tuple[int, tuple[tuple[int, int], ...],
                                        tuple[int, ...], tuple[int, ...]]]] = {}
+_SHAPE_CACHE: dict[int, list[tuple[dict[int, int], int]]] = {}
 
 
 def rooted_cayley_trees(n: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -286,6 +289,19 @@ def _traversals(n: int) -> list[tuple[int, tuple[tuple[int, int], ...],
                                ups.setdefault(up_t, up_t)))
         _TRAVERSAL_CACHE[n] = traversals
     return _TRAVERSAL_CACHE[n]
+
+
+def _shapes(n: int) -> list[tuple[dict[int, int], int]]:
+    """(parent, trees) per plane shape (132 at n = 7, against 7^6 trees):
+    parent[k] = up[k] for the DFS positions k = 1..n-1 of _traversals(n),
+    and trees is the number of rooted trees on 1..n that have that `up`."""
+    if n not in _SHAPE_CACHE:
+        trees_of: dict[tuple[int, ...], int] = {}
+        for _root, _pairs, _order, up in _traversals(n):
+            trees_of[up] = trees_of.get(up, 0) + 1
+        _SHAPE_CACHE[n] = [({k: up[k] for k in range(1, n)}, trees)
+                           for up, trees in trees_of.items()]
+    return _SHAPE_CACHE[n]
 
 
 def _placements(n: int, root_place: int, moves: dict[int, list[int]],
@@ -391,6 +407,10 @@ def enumerate_sary(step_set: StepSet | LooseStepSet | Iterable[int],
 # censuses
 # ---------------------------------------------------------------------------
 
+_CENSUS_KEYS = {"out": TypeDistribution.out_key, "in": TypeDistribution.in_key,
+                "complete": TypeDistribution.complete_key}
+
+
 def census_by_type(stream: Iterable, granularity: str) -> dict:
     """Exact census of a stream of trees or functions.
 
@@ -398,21 +418,15 @@ def census_by_type(stream: Iterable, granularity: str) -> dict:
     bucket by the corresponding type distribution (complete keys include the
     root in-type).
     """
+    if granularity != "profile" and granularity not in _CENSUS_KEYS:
+        raise ValueError(f"unknown granularity {granularity!r}")
     census: dict = {}
     for obj in stream:
         if granularity == "profile":
             prof = obj.profile() if callable(getattr(obj, "profile")) else obj.profile
             key = (prof.ell, prof.counts)
         else:
-            dist = type_distribution_of(obj)
-            if granularity == "out":
-                key = dist.out_key()
-            elif granularity == "in":
-                key = dist.in_key()
-            elif granularity == "complete":
-                key = dist.complete_key()
-            else:
-                raise ValueError(f"unknown granularity {granularity!r}")
+            key = _CENSUS_KEYS[granularity](type_distribution_of(obj))
         census[key] = census.get(key, 0) + 1
     return census
 
@@ -523,6 +537,29 @@ def _multisets(mass: CVec, k: int, floor: CVec) -> Iterator[tuple[CVec, ...]]:
 # profile; used by the acceptance suite)
 # ---------------------------------------------------------------------------
 
+def _shape_search(n: int, root_place, moves, visit,
+                  budget: EnumerationBudget | None) -> None:
+    """Call visit(parent, place, trees) for each (parent, trees) of
+    _shapes(n) and every placement of its DFS positions: place[0] is
+    root_place and place[k] is one of moves(place[parent[k]])."""
+    budget = _budget(budget)
+    budget.check_size(n)
+    for parent, trees in _shapes(n):
+        budget.charge(n)
+        place = [root_place] * n
+
+        def assign(k: int) -> None:
+            budget.charge()
+            if k == n:
+                visit(parent, place, trees)
+                return
+            for q in moves(place[parent[k]]):
+                place[k] = q
+                assign(k + 1)
+
+        assign(1)
+
+
 def sweep_embedded_censuses(step_set: StepSet, n: int,
                             granularities: tuple[str, ...] = ("out",),
                             budget: EnumerationBudget | None = None,
@@ -531,80 +568,30 @@ def sweep_embedded_censuses(step_set: StepSet, n: int,
     profile: result[g][(ell, counts)][census_key] = count.  "count" buckets
     just the number of trees per profile.
 
-    Only the trees rooted at label 1 are swept, each counted n times.  That
-    is exact: the transposition of labels 1 and r maps the embedded trees
-    rooted at r one-to-one onto those rooted at 1 and keeps every abscissa,
-    so it keeps every profile and every census key.
-
-    Census keys are computed inline from the parent/abscissa arrays (the
-    object-level type_distribution_of is exercised separately); c-vectors are
-    dense over min S .. 1.
+    One search per DFS shape places the DFS positions by steps of S from
+    abscissa 0; each placement counts once for every tree of that shape.
+    Census keys are those of type_distribution_of (c-vectors dense over
+    min S .. 1), computed on the placement's arrays.
     """
-    budget = _budget(budget)
-    budget.check_size(n)
     for g in granularities:
-        if g not in ("out", "in", "complete"):
+        if g not in _CENSUS_KEYS:
             raise ValueError(f"unknown granularity {g!r}")
     result: dict[str, dict] = {g: {} for g in granularities}
     result.setdefault("count", {})
     steps = sorted(step_set)
-    m = step_set.m
-    width = 1 - m + 1
-    for root, _pairs, _order, up in _traversals(n):
-        if root != 1:
-            break  # the trees come by increasing root label
-        budget.charge(n)
-        absc = [0] * n  # absc[k] is the abscissa of the k-th vertex in DFS order
-        counts: dict[int, int] = {0: 1}
 
-        def emit() -> None:
-            lo = min(counts)
-            hi = max(counts)
-            pkey = (lo, tuple(counts.get(i, 0) for i in range(lo, hi + 1)))
-            result["count"][pkey] = result["count"].get(pkey, 0) + n
-            if not granularities:
-                return
-            cvecs = [[0] * width for _ in range(n)]
-            out: dict[tuple[int, int], int] = {}
-            for k in range(1, n):
-                s = absc[k] - absc[up[k]]
-                cvecs[up[k]][s - m] += 1
-                out[(absc[k], s)] = out.get((absc[k], s), 0) + 1
+    def visit(parent: dict[int, int], place: list[int], trees: int) -> None:
+        lo = min(place)
+        pkey = (lo, tuple(map(place.count, range(lo, max(place) + 1))))
+        result["count"][pkey] = result["count"].get(pkey, 0) + trees
+        if granularities:
+            dist = _census(place, parent, 0, step_set.m)
             for g in granularities:
-                if g == "out":
-                    key = tuple(sorted(out.items()))
-                elif g == "in":
-                    inn: dict = {}
-                    for k in range(n):
-                        t = (absc[k], tuple(cvecs[k]))
-                        inn[t] = inn.get(t, 0) + 1
-                    key = tuple(sorted(inn.items()))
-                else:
-                    comp: dict = {}
-                    for k in range(1, n):
-                        t = (absc[k], absc[k] - absc[up[k]], tuple(cvecs[k]))
-                        comp[t] = comp.get(t, 0) + 1
-                    key = (tuple(cvecs[0]), tuple(sorted(comp.items())))
                 bucket = result[g].setdefault(pkey, {})
-                bucket[key] = bucket.get(key, 0) + n
+                key = _CENSUS_KEYS[g](dist)
+                bucket[key] = bucket.get(key, 0) + trees
 
-        def assign(k: int) -> None:
-            if k == n:
-                emit()
-                return
-            budget.charge()
-            base = absc[up[k]]
-            for s in steps:
-                a = base + s
-                absc[k] = a
-                counts[a] = counts.get(a, 0) + 1
-                assign(k + 1)
-                if counts[a] == 1:
-                    del counts[a]
-                else:
-                    counts[a] -= 1
-
-        assign(1)
+    _shape_search(n, 0, lambda a: [a + s for s in steps], visit, budget)
     return result
 
 
@@ -615,39 +602,16 @@ def sweep_target_censuses(adj: dict[int, list[int]], root_node: int, n: int,
     on 1..n to the target tree with adjacency `adj` (node -> neighbours; a
     single node lists itself): result[(c_node for node in sorted(adj))] is
     the number of (tree, morphism) pairs that send c_node vertices to each
-    node.
-
-    The search depends on a tree only through `up`, the DFS parent
-    positions of _traversals, so it runs once per distinct `up` (one per
-    plane shape: 132 at n = 7, against 7^6 trees) and each of its
-    morphisms counts once for every tree that shares that `up`.
+    node.  One search per DFS shape, as in sweep_embedded_censuses.
     """
-    budget = _budget(budget)
-    budget.check_size(n)
-    trees_of: dict[tuple[int, ...], int] = {}
-    for _root, _pairs, _order, up in _traversals(n):
-        trees_of[up] = trees_of.get(up, 0) + 1
-    slot = {node: j for j, node in enumerate(sorted(adj))}
+    nodes = sorted(adj)
     census: dict[tuple[int, ...], int] = {}
-    for up, trees in trees_of.items():
-        budget.charge(n)
-        place = [root_node] * n  # place[k] is the node of the k-th DFS vertex
-        counts = [0] * len(slot)
-        counts[slot[root_node]] = 1
 
-        def assign(k: int) -> None:
-            budget.charge()
-            if k == n:
-                key = tuple(counts)
-                census[key] = census.get(key, 0) + trees
-                return
-            for q in adj[place[up[k]]]:
-                place[k] = q
-                counts[slot[q]] += 1
-                assign(k + 1)
-                counts[slot[q]] -= 1
+    def visit(_parent: dict[int, int], place: list[int], trees: int) -> None:
+        key = tuple(map(place.count, nodes))
+        census[key] = census.get(key, 0) + trees
 
-        assign(1)
+    _shape_search(n, root_node, adj.__getitem__, visit, budget)
     return census
 
 

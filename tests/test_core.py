@@ -42,8 +42,9 @@ from embtrees.core import (
     sfunction_from_json,
     sfunction_to_json,
 )
-from embtrees.oracle import (enumerate_embedded_cayley, enumerate_marked_strees,
-                             enumerate_sary, enumerate_sfunctions)
+from embtrees.oracle import (census_by_type, enumerate_embedded_cayley,
+                             enumerate_marked_strees, enumerate_sary,
+                             enumerate_sfunctions)
 
 from conftest import ALL_STEP_SETS, profiles_up_to
 
@@ -158,18 +159,18 @@ class TestTypeDistribution:
         assert seen == {(((0, -1), 1), ((1, 1), 1))}
 
     def test_compatibility_checked_on_all_small_objects(self):
-        # every oracle tree and function up to n = 5; check=True raises on
-        # any identity failure
+        # every oracle tree and function up to n = 5; the census check raises
+        # on any identity failure
         S = StepSet([-1, 0, 1])
         checked = 0
         for p in profiles_up_to(5):
             for obj in [*enumerate_marked_strees(S, p),
                         *enumerate_sfunctions(S, p),
                         *enumerate_embedded_cayley(S, p)]:
-                type_distribution_of(obj, check=True)
+                type_distribution_of(obj)
                 checked += 1
             for obj in enumerate_sary(S, p):
-                type_distribution_of(obj, m=S.m, check=True)
+                type_distribution_of(obj, m=S.m)
                 checked += 1
         assert checked == 3197 + 3197 + 52441 + 344
 
@@ -289,14 +290,10 @@ class TestIntegerCensus:
 def _reference_check(dist):
     """The census check as first written, one scan of the type table per
     abscissa or per (i, s) key; the reference for the aggregated check."""
-    prof = dist.profile()
-    out = dist.out
-    for i in prof.abscissas():
-        total = (1 if i == 0 else 0) + sum(c for (j, _s), c in out.items() if j == i)
-        if total != prof.count(i):
-            raise IncompatibleDistribution(f"out counts at abscissa {i} do not match")
+    listed = [i for (i, _s), _c in dist.out_counts] + [i for (i, _cv), _c in dist.in_counts]
+    lo, hi = min(listed + [0]), max(listed + [0])
     inn = dist.inn
-    for i in range(prof.ell - 2, prof.r + 3):
+    for i in range(lo + dist.m, hi + 2):
         lhs = 1 if i == 0 else 0
         for (j, cv), c in inn.items():
             for s_idx, cs in enumerate(cv):
@@ -307,7 +304,7 @@ def _reference_check(dist):
             raise IncompatibleDistribution(f"in counts at abscissa {i} do not match")
     comp = dist.complete
     keys = {(i, s) for (i, s, _cv) in comp}
-    keys |= {(i, s) for (i, s) in out}
+    keys |= {(i, s) for (i, s) in dist.out}
     c0 = dist.root_in_type
     for s_idx, cs in enumerate(c0):
         if cs:
@@ -324,6 +321,10 @@ def _reference_check(dist):
         rhs = sum(c for (j, t, _cv), c in comp.items() if (j, t) == (i, s))
         if lhs != rhs:
             raise IncompatibleDistribution(f"complete counts at ({i},{s}) do not match")
+    for i in range(lo, hi + 1):
+        out = (1 if i == 0 else 0) + sum(c for (j, _s), c in dist.out_counts if j == i)
+        if out != sum(c for (j, _cv), c in dist.in_counts if j == i):
+            raise IncompatibleDistribution(f"out counts at abscissa {i} do not match")
 
 
 def _verdict(check, dist):
@@ -354,8 +355,7 @@ class TestCensusCheck:
         _check_distribution(self.census())
 
     def test_out_identity(self):
-        # the profile is read off the out counts, so only a table that
-        # repeats a key can break n_i = chi_{i=0} + sum_s n(i,s)
+        # a repeated out row breaks chi_{i=0} + sum_s n(i,s) = sum_c n(i,c)
         d = self.census()
         bad = dataclasses.replace(d, out_counts=d.out_counts + d.out_counts[:1])
         with pytest.raises(IncompatibleDistribution, match="out counts at abscissa"):
@@ -410,15 +410,21 @@ class TestCensusCheck:
             else:
                 table = _bump(table, idx, rng.choice([-1, 1]))
             bad = dataclasses.replace(d, **{field: table})
-            try:
-                expected = _verdict(_reference_check, bad)
-            except InvalidProfile:
-                with pytest.raises(InvalidProfile):
-                    _check_distribution(bad)
-                continue
+            expected = _verdict(_reference_check, bad)
             assert _verdict(_check_distribution, bad) == expected
             rejected.add(expected)
         assert rejected == {None, "out", "in", "complete"}
+
+    def test_empty_abscissa(self):
+        # with min S = -2 a valid tree can leave an abscissa empty: the check
+        # must not ask for a positive profile
+        S = StepSet([-2, -1, 1])
+        tree = EmbeddedCayleyTree(2, 1, {2: 1}, {1: 0, 2: -2}, S)
+        d = type_distribution_of(tree)
+        assert d.out_key() == (((-2, -2), 1),)
+        assert d.in_key() == (((-2, (0, 0, 0, 0)), 1), ((0, (1, 0, 0, 0)), 1))
+        assert type_distribution_of(SAryTree(0, ((-2, SAryTree(-2)),)), m=-2) == d
+        assert census_by_type([tree], "in") == {d.in_key(): 1}
 
 
 class TestPositivityRemark:

@@ -191,7 +191,11 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             sweep_target_censuses({0: [0]}, 0, 5, EnumerationBudget(max_size=4))
 
-    def test_each_sweep_is_metered_alone(self, monkeypatch):
+    @pytest.mark.parametrize("sweep, args", [
+        (sweep_embedded_censuses, (PM, 4, ("out",))),
+        (sweep_target_censuses, ({0: [1], 1: [0, 2], 2: [1]}, 0, 4)),
+    ], ids=["embedded", "target"])
+    def test_each_sweep_is_metered_alone(self, monkeypatch, sweep, args):
         charged = []
         charge = EnumerationBudget.charge
 
@@ -200,18 +204,16 @@ class TestBudget:
             charge(budget, amount)
 
         monkeypatch.setattr(EnumerationBudget, "charge", counting)
-        sweep = sweep_embedded_censuses(PM, 4, ("out",))
+        result = sweep(*args)
         monkeypatch.undo()
         steps = sum(charged)
-        assert sweep["out"] and steps > 1
+        assert result and steps > 1
         # a cap that fits one sweep but not two in a row
         shared = EnumerationBudget(max_size=10, max_candidates=steps)
-        assert sweep_embedded_censuses(PM, 4, ("out",), shared) == sweep
-        assert sweep_embedded_censuses(PM, 4, ("out",), shared) == sweep
+        assert sweep(*args, budget=shared) == result
+        assert sweep(*args, budget=shared) == result
         with pytest.raises(BudgetExceeded):
-            sweep_embedded_censuses(
-                PM, 4, ("out",),
-                EnumerationBudget(max_size=10, max_candidates=steps - 1))
+            sweep(*args, budget=EnumerationBudget(max_size=10, max_candidates=steps - 1))
 
 
 class TestTargetSweep:
@@ -307,14 +309,16 @@ class TestCompatibleDistributions:
     def test_rejected_requests(self):
         with pytest.raises(ValueError, match="unknown granularity"):
             list(compatible_distributions(PM, Profile.parse("2,1"), "profile"))
+        with pytest.raises(ValueError, match="unknown granularity"):
+            census_by_type([], "bogus")
         with pytest.raises(ValueError, match="ell = 0 only"):
             list(compatible_distributions(PM, Profile.parse("1;1"), "complete"))
 
 
 def _all_roots_sweep(step_set, n, granularities):
-    """The census sweep over every root label, each embedded tree counted
+    """The census sweep over every rooted tree, each embedded tree counted
     once and built from its step sequence in one pass: the reference for
-    the root-label symmetry of sweep_embedded_censuses."""
+    the per-shape search of sweep_embedded_censuses."""
     result = {g: {} for g in granularities}
     result["count"] = {}
     m = step_set.m
@@ -360,13 +364,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("steps", [[-1, 1], [-1, 0, 1], [0, 1], [-2, -1, 1]],
                              ids=str)
-    def test_root_symmetry_matches_all_roots(self, steps):
+    def test_shape_sweep_matches_all_roots(self, steps):
         S = StepSet(steps)
         for n in range(1, 5):
             assert sweep_embedded_censuses(S, n, self.GRANULARITIES) == \
                 _all_roots_sweep(S, n, self.GRANULARITIES), n
 
-    def test_root_symmetry_matches_all_roots_at_five(self):
+    def test_shape_sweep_matches_all_roots_at_five(self):
         S = StepSet([-1, 0, 1])
         sweep = sweep_embedded_censuses(S, 5, self.GRANULARITIES)
         assert sum(sweep["count"].values()) == 5 ** 4 * 3 ** 4
