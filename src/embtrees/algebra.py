@@ -312,5 +312,5 @@ def tree_in_tree_det(target: TargetTree) -> int:
 
     verts = [(i, p) for i, c in t.counts for p in range(1, c + 1)]
     det = _minor_det(verts, arcs, (t.root, 1))
-    return product([("n_rho n!/prod n_i! det", t.count(t.root) * _multinomial(
+    return product([("n_rho n!/prod n_i! det", counts[t.root] * _multinomial(
         c for _i, c in t.counts) * det)], "tree-in-tree determinant count")

@@ -36,11 +36,11 @@ from .core import (
     SFunction,
     Vertex,
     VertexSet,
+    _census_of,
     condition_t1,
     condition_t2_dblprime,
     condition_t2_prime,
     satisfies_condition_f,
-    type_distribution_of,
 )
 from .bijection_nonneg import (
     Piece,
@@ -417,7 +417,9 @@ def psi2(tree: MarkedSTree) -> MarkedSTree:
 
 def psi(f: SFunction) -> MarkedSTree:
     """Bijection from (F)-functions to marked trees satisfying (T1) and (T2);
-    preserves the out-type census and the in-type census."""
+    preserves the out-type census and the in-type census.  Under asserts,
+    psi_with_trace checks the census of f and of the tree and compares their
+    integer in- and out-type tables (core._census_of)."""
     return psi_with_trace(f)[0]
 
 
@@ -427,10 +429,9 @@ def psi_with_trace(f: SFunction) -> tuple[MarkedSTree, dict]:
         _case_certificate(assembly)
     out = _psi2_swaps(assembly.tree, f, assembly.case, assembly.v0)
     if __debug__:
-        d_in = type_distribution_of(f)
-        d_out = type_distribution_of(out)
-        assert d_in.in_key() == d_out.in_key(), "psi must preserve the in-type census"
-        assert d_in.out_key() == d_out.out_key(), "psi must preserve the out-type census"
+        c_in, c_out = _census_of(f), _census_of(out)
+        assert c_in.inn == c_out.inn, "psi must preserve the in-type census"
+        assert c_in.out == c_out.out, "psi must preserve the out-type census"
     trace = {
         "regime": "general",
         "case": assembly.case,

@@ -28,9 +28,9 @@ from .core import (
     StepSet,
     Vertex,
     VertexSet,
+    _census_of,
     condition_t,
     satisfies_condition_f,
-    type_distribution_of,
 )
 
 
@@ -358,7 +358,9 @@ def _phi2_with_record(tree: MarkedSTree, f: SFunction | None = None
 
 def phi(f: SFunction) -> MarkedSTree:
     """The full bijection: preserves every vertex's out-type, the in-type
-    census, and (when 0 is not in S) every vertex's complete type."""
+    census, and (when 0 is not in S) every vertex's complete type.  Under
+    asserts, phi_with_trace checks the census of f and of the tree and
+    compares their integer in-type tables (core._census_of)."""
     return phi_with_trace(f)[0]
 
 
@@ -373,9 +375,7 @@ def phi_with_trace(f: SFunction) -> tuple[MarkedSTree, dict]:
     t1, pieces = _phi1_with_pieces(f)
     t2, record = _phi2_with_record(t1, f)
     if __debug__:
-        d_in = type_distribution_of(f)
-        d_out = type_distribution_of(t2)
-        assert d_in.in_key() == d_out.in_key(), "phi must preserve the in-type census"
+        assert _census_of(f).inn == _census_of(t2).inn, "phi must preserve the in-type census"
     trace = {
         "regime": "nonneg",
         "mark": list(t1.mark),

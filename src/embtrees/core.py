@@ -719,11 +719,13 @@ def _arcs(obj: "SFunction | MarkedSTree | EmbeddedCayleyTree | SAryTree"):
 
 def _codes(abscissa, parent, m: int) -> tuple[dict, int]:
     """(codes, base): the c-vector of every vertex with children (pre-images,
-    in a function) packed into one integer, whose digit s - m in base
+    in a function) packed into one integer, whose digit 1 - s in base
     len(parent) + 1 (more than any vertex has children) is the number of
-    children at step s.  A vertex without children is absent: its code is 0."""
+    children at step s.  The digit of c^m is the most significant, so codes
+    order as their c-vectors (c^m, ..., c^1) do.  A vertex without children
+    is absent: its code is 0."""
     base = len(parent) + 1
-    weight = [base ** d for d in range(2 - m)]
+    weight = [base ** (1 - m - d) for d in range(2 - m)]
     codes: dict = {}
     get = codes.get
     for v, w in parent.items():
@@ -735,10 +737,9 @@ def _codes(abscissa, parent, m: int) -> tuple[dict, int]:
 
 def _digits(code: int, base: int, width: int) -> CVec:
     """The dense c-vector (c^m, ..., c^1) that a _codes integer packs."""
-    cvec = []
-    for _ in range(width):
-        code, digit = divmod(code, base)
-        cvec.append(digit)
+    cvec = [0] * width
+    for idx in range(width - 1, -1, -1):
+        code, cvec[idx] = divmod(code, base)
     return tuple(cvec)
 
 
@@ -850,48 +851,172 @@ class TypeDistribution:
         return Profile.of_counts(counts)
 
 
-def _check_distribution(dist: TypeDistribution) -> None:
-    """Check the three compatibility identities of a census: each family is
-    one pass over its tables that sums both sides per abscissa or per (i, s),
-    then compares them wherever either side is nonzero, so the check costs
-    O(r + |types|).  The in- and complete families add _children's sum in
-    the same pass instead of building its table apart, which matters on the
-    tiny censuses that phi and psi check on every call.  No family builds a
-    Profile, so a census that leaves an abscissa empty (min S <= -2) passes."""
-    m = dist.m
-    # chi_{i=0} + sum_{s,c} c^s n(i-s, c) = sum_c n(i, c): left minus right
-    gap: dict[int, int] = {0: 1}
-    for (j, cv), c in dist.inn.items():
-        gap[j] = gap.get(j, 0) - c
-        for idx, b in enumerate(cv):
-            if b:
-                gap[j + m + idx] = gap.get(j + m + idx, 0) + b * c
-    for i in sorted(gap):
-        if gap[i]:
-            raise IncompatibleDistribution(f"in counts at abscissa {i} do not match")
-    # chi_{i=s} c_0^s + sum_{t,c} c^s n(i-s,t,c) = sum_c n(i,s,c): left minus
-    # right, with the root (no out-type) at abscissa 0
-    gaps: dict[tuple[int, int], int] = {}
-    for (j, t, cv), c in [((0, EPS, dist.root_in_type), 1), *dist.complete.items()]:
-        if t != EPS:
-            gaps[(j, t)] = gaps.get((j, t), 0) - c
-        for idx, b in enumerate(cv):
-            if b:
-                key = (j + m + idx, m + idx)
-                gaps[key] = gaps.get(key, 0) + b * c
-    for (i, s), diff in gaps.items():
-        if diff:
-            raise IncompatibleDistribution(f"complete counts at ({i},{s}) do not match")
-    # chi_{i=0} + sum_s n(i,s) = sum_c n(i,c) over the listed rows (both are
-    # n_i): left minus right
+class _Census(NamedTuple):
+    """A census on integer keys, with codes and base from _codes.  With
+    width = 2 - m and span = base**width (more than any code),
+    inn[i * span + code] counts the vertices of in-type (i, c), the root
+    included, and out[i * width + s - m] those of out-type (i; s).  Floor
+    division unpacks a key for negative i too, and keys order as the types
+    they pack."""
+
+    m: int
+    base: int
+    codes: dict
+    inn: dict[int, int]
+    out: dict[int, int]
+
+
+def _census(absc, parent, root, m: int) -> _Census:
+    """The checked integer census of the arrays of _arcs: vertex -> abscissa,
+    vertex -> parent (every vertex but the root) and the root.  One pass
+    over the arcs packs the codes, and one counting pass per table counts
+    each vertex on its in-type key and each non-root vertex on its out-type
+    key."""
+    codes, base = _codes(absc, parent, m)
+    width = 2 - m
+    span = base ** width
+    get = codes.get
+    inn = dict(Counter([absc[v] * span + get(v, 0) for v in parent]))
+    key = absc[root] * span + get(root, 0)
+    inn[key] = inn.get(key, 0) + 1
+    # i * width + s - m for the step s = i - absc[w]
+    out = dict(Counter([(width + 1) * absc[v] - absc[w] - m for v, w in parent.items()]))
+    _check_tables(m, base, inn, out, inn, out)
+    return _Census(m, base, codes, inn, out)
+
+
+def _abscissa_sums(table: dict[int, int], span: int) -> tuple[dict[int, int], dict[int, int]]:
+    """(vertices, sums) of an in table: per abscissa, the number of vertices
+    and the sum of their nonzero codes."""
+    vertices: dict[int, int] = {}
+    sums: dict[int, int] = {}
+    for key, c in table.items():
+        i, code = divmod(key, span)
+        vertices[i] = vertices.get(i, 0) + c
+        if code:
+            sums[i] = sums.get(i, 0) + c * code
+    return vertices, sums
+
+
+def _claimed(sums: dict[int, int], base: int, width: int) -> dict[int, int]:
+    """The children per out key (i * width + s - m) that per-abscissa code
+    sums claim.  sums[j] adds up the codes of the vertices at abscissa j;
+    no digit of it overflows, so its digit 1 - s counts their children at
+    step s, which sit at abscissa j + s."""
+    claimed: dict[int, int] = {}
+    for j, total in sums.items():
+        key = (j + 1) * width + width - 1  # step s = 1
+        for _ in range(width):
+            total, digit = divmod(total, base)
+            if digit:
+                claimed[key] = claimed.get(key, 0) + digit
+            key -= width + 1  # step s - 1, one abscissa lower
+    return claimed
+
+
+def _gap(table: dict[int, int], width: int, vertices: dict[int, int]) -> dict[int, int]:
+    """Per abscissa, chi_{i=0} plus the counts of an out-keyed table, minus
+    the number of vertices."""
     gap = {0: 1}
-    for (i, _s), c in dist.out_counts:
-        gap[i] = gap.get(i, 0) + c
-    for (i, _cv), c in dist.in_counts:
+    for pos, c in table.items():
+        gap[pos // width] = gap.get(pos // width, 0) + c
+    for i, c in vertices.items():
         gap[i] = gap.get(i, 0) - c
-    for i in sorted(gap):
-        if gap[i]:
-            raise IncompatibleDistribution(f"out counts at abscissa {i} do not match")
+    return gap
+
+
+def _first_gap(gaps: dict[int, int]) -> int | None:
+    """The smallest key whose gap (left minus right) is not zero, if any."""
+    if any(gaps.values()):
+        return min(key for key, gap in gaps.items() if gap)
+    return None
+
+
+def _check_tables(m: int, base: int, inn: dict[int, int], out: dict[int, int],
+                  comp_in: dict[int, int], comp_out: dict[int, int]) -> None:
+    """Check the three compatibility identities of a census on integer
+    tables, in this order, each as a left-minus-right gap that must vanish at
+    every key either side reaches:
+      in (per abscissa):    chi_{i=0} + sum_{s,c} c^s n(i-s,c) = sum_c n(i,c);
+      complete (per (i,s)): chi_{i=s} c_0^s + sum_{t,c} c^s n(i-s,t,c) = sum_c n(i,s,c);
+      out (per abscissa):   chi_{i=0} + sum_s n(i,s) = sum_c n(i,c).
+    The complete identity reads the complete table only through its two
+    marginals: comp_in (summed over out-steps, with the root at abscissa 0)
+    and comp_out (summed over c-vectors).  A census counted from arcs passes
+    its own inn and out for them.
+
+    The sums over c^s unpack one code sum per abscissa (_claimed), since no
+    digit of it overflows.  When comp_out, packed per parent abscissa the
+    way codes are, equals the code sums of comp_in, the complete identity
+    holds at every key, and if comp_in is inn, comp_out is the claimed table:
+    nothing is unpacked.  Otherwise the complete family is checked key by
+    key.  No family asks for a nonempty abscissa, so a census that leaves
+    one empty (min S <= -2) passes.  Each family reports its smallest
+    failing key."""
+    width = 2 - m
+    span = base ** width
+    vertices, sums = _abscissa_sums(inn, span)
+    comp_sums = sums if comp_in is inn else _abscissa_sums(comp_in, span)[1]
+    weight = [base ** (width - 1 - d) for d in range(width)]
+    packed: dict[int, int] = {}
+    for pos, c in comp_out.items():
+        i, d = divmod(pos, width)  # a vertex at i, step d + m from abscissa i - d - m
+        packed[i - d - m] = packed.get(i - d - m, 0) + c * weight[d]
+    complete_holds = packed == comp_sums
+    claimed = comp_out if complete_holds and comp_in is inn else _claimed(sums, base, width)
+    gap = _gap(claimed, width, vertices)
+    if (i := _first_gap(gap)) is not None:
+        raise IncompatibleDistribution(f"in counts at abscissa {i} do not match")
+    if not complete_holds:
+        gaps = _claimed(comp_sums, base, width)
+        for pos, c in comp_out.items():
+            gaps[pos] = gaps.get(pos, 0) - c
+        if (pos := _first_gap(gaps)) is not None:
+            i, d = divmod(pos, width)
+            raise IncompatibleDistribution(f"complete counts at ({i},{d + m}) do not match")
+    if claimed is not out:
+        gap = _gap(out, width, vertices)
+    if (i := _first_gap(gap)) is not None:
+        raise IncompatibleDistribution(f"out counts at abscissa {i} do not match")
+
+
+def _check_distribution(dist: TypeDistribution) -> None:
+    """Check the compatibility identities of a tuple-keyed census: pack its
+    tables as _census does, with a base above every count and digit sum
+    (counts are nonnegative, as in any census), and run _check_tables.  The
+    in and complete families read their tables as mappings, a repeated row
+    counting once, while the out family counts every listed row."""
+    m = dist.m
+    width = 2 - m
+    base = 2 + sum(dist.root_in_type) + sum(
+        (1 + abs(c)) * (1 + sum(key[-1])) for key, c in (*dist.in_counts, *dist.complete_counts))
+    span = base ** width
+
+    def code(cv: CVec) -> int:
+        packed = 0
+        for digit in cv:
+            packed = packed * base + digit
+        return packed
+
+    def add(table: dict[int, int], key: int, c: int) -> None:
+        table[key] = table.get(key, 0) + c
+
+    inn = {i * span + code(cv): c for (i, cv), c in dist.inn.items()}
+    out: dict[int, int] = {}
+    for (i, s), c in dist.out_counts:
+        add(out, i * width + s - m, c)
+    # _check_tables counts the vertices of the out family on the inn mapping:
+    # move each repeat of a listed in row to the out side of its abscissa
+    for (i, _cv), c in dist.in_counts:
+        add(out, i * width, -c)
+    for (i, _cv), c in dist.inn.items():
+        add(out, i * width, c)
+    comp_in = {code(dist.root_in_type): 1}
+    comp_out: dict[int, int] = {}
+    for (i, s, cv), c in dist.complete.items():
+        add(comp_in, i * span + code(cv), c)
+        add(comp_out, i * width + s - m, c)
+    _check_tables(m, base, inn, out, comp_in, comp_out)
 
 
 def type_distribution_of(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction | SAryTree",
@@ -905,54 +1030,41 @@ def type_distribution_of(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction | SA
     """
     if m is None and isinstance(obj, SAryTree):
         raise ValueError("S-ary trees need an explicit m")
-    return _census(*_arcs(obj), obj.step_set.m if m is None else m)
+    return _type_distribution(*_arcs(obj), obj.step_set.m if m is None else m)
 
 
-def _census(absc, parent, root, m: int) -> TypeDistribution:
-    """type_distribution_of on the arrays of _arcs: vertex -> abscissa,
-    vertex -> parent (every vertex but the root) and the root.
+def _census_of(obj: "MarkedSTree | EmbeddedCayleyTree | SFunction") -> _Census:
+    """The checked integer census of a tree or function at m = min S, which
+    phi and psi compare without unpacking."""
+    return _census(*_arcs(obj), obj.step_set.m)
 
-    Each non-root vertex is counted once, on the integer key
-    ((i * width + s - m) * span + code) of its complete type, where code is
-    its _codes c-vector and span = base**width bounds every code; floor
-    division recovers (i, s - m, code) for negative i too.  The out- and
-    in-type counts are sums over the complete ones, and each distinct code
-    is unpacked to its tuple once.
-    """
-    codes, base = _codes(absc, parent, m)
+
+def _type_distribution(absc, parent, root, m: int) -> TypeDistribution:
+    """type_distribution_of on the arrays of _arcs: the checked _census,
+    unpacked into tuples.  The complete table is counted on the key
+    (i * width + s - m) * span + code from the same codes and out keys, so
+    its marginals are the checked in and out tables.  Each distinct code is
+    unpacked once, and integer order is type order."""
+    m, base, codes, inn, out = _census(absc, parent, root, m)
     width = 2 - m
     span = base ** width
     get = codes.get
-    keys: dict[int, int] = {}
-    for v, w in parent.items():
-        i = absc[v]
-        key = (i * width + i - absc[w] - m) * span + get(v, 0)
-        keys[key] = keys.get(key, 0) + 1
-
-    cvecs: dict[int, CVec] = {}
-    out: dict[tuple[int, int], int] = {}
-    comp: dict[tuple[int, int, CVec], int] = {}
-    root_cv = cvecs[get(root, 0)] = _digits(get(root, 0), base, width)
-    inn: dict[tuple[int, CVec], int] = {(absc[root], root_cv): 1}
-    for key, c in keys.items():
+    comp = Counter([((width + 1) * absc[v] - absc[w] - m) * span + get(v, 0)
+                    for v, w in parent.items()])
+    cvec = {code: _digits(code, base, width) for code in {0, *codes.values()}}
+    out_counts, in_counts, comp_counts = [], [], []
+    for key, c in sorted(out.items()):
+        i, d = divmod(key, width)
+        out_counts.append(((i, d + m), c))
+    for key, c in sorted(inn.items()):
+        i, code = divmod(key, span)
+        in_counts.append(((i, cvec[code]), c))
+    for key, c in sorted(comp.items()):
         pos, code = divmod(key, span)
         i, d = divmod(pos, width)
-        cv = cvecs.get(code)
-        if cv is None:
-            cv = cvecs[code] = _digits(code, base, width)
-        comp[(i, d + m, cv)] = c
-        out[(i, d + m)] = out.get((i, d + m), 0) + c
-        inn[(i, cv)] = inn.get((i, cv), 0) + c
-
-    dist = TypeDistribution(
-        m=m,
-        out_counts=tuple(sorted(out.items())),
-        in_counts=tuple(sorted(inn.items())),
-        complete_counts=tuple(sorted(comp.items())),
-        root_in_type=root_cv,
-    )
-    _check_distribution(dist)
-    return dist
+        comp_counts.append(((i, d + m, cvec[code]), c))
+    return TypeDistribution(m, tuple(out_counts), tuple(in_counts), tuple(comp_counts),
+                            cvec[get(root, 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -689,9 +689,6 @@ class TargetTree:
             adj[self.root].append(self.root)
         return adj
 
-    def count(self, i: int) -> int:
-        return dict(self.counts)[i]
-
     @property
     def n(self) -> int:
         return sum(c for _i, c in self.counts)

@@ -29,8 +29,8 @@ from .core import (
     TypeDistribution,
     Vertex,
     VertexSet,
-    _census,
     _cvec_lookup,
+    _type_distribution,
     condition_t,
     condition_t1,
     condition_t2,
@@ -585,7 +585,7 @@ def sweep_embedded_censuses(step_set: StepSet, n: int,
         pkey = (lo, tuple(map(place.count, range(lo, max(place) + 1))))
         result["count"][pkey] = result["count"].get(pkey, 0) + trees
         if granularities:
-            dist = _census(place, parent, 0, step_set.m)
+            dist = _type_distribution(place, parent, 0, step_set.m)
             for g in granularities:
                 bucket = result[g].setdefault(pkey, {})
                 key = _CENSUS_KEYS[g](dist)

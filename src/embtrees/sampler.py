@@ -179,20 +179,13 @@ def enumerate_profiles(n: int) -> Iterator[Profile]:
 @dataclass(frozen=True)
 class ProfileLaw:
     """Exact law of the vertical profile of a uniform random tree of size n:
-    probability(profile) = theorem count / total count."""
+    the mass of a profile is its theorem count / total count."""
 
     n: int
     family: str
     step_set: StepSet | None
     masses: tuple[tuple[tuple[int, tuple[int, ...]], Fraction], ...]
     total: int
-
-    def probability(self, profile: Profile) -> Fraction:
-        key = (profile.ell, profile.counts)
-        for k, v in self.masses:
-            if k == key:
-                return v
-        return Fraction(0)
 
     def items(self) -> Iterator[tuple[Profile, Fraction]]:
         for (ell, counts), prob in self.masses:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from embtrees import bijection_general
 from embtrees import (
     ConditionViolated,
     PreconditionViolated,
@@ -174,3 +175,20 @@ def test_trace_structure():
     assert trace["case"] == "B"
     assert "L(1)" in trace["pieces"] and "R(-1)" in trace["pieces"]
     assert trace["v0"] == [0, 2]
+
+
+@pytest.mark.skipif(not __debug__, reason="the census check is an assert")
+def test_census_assert_fires_on_a_tampered_repair(monkeypatch):
+    """With psi2's subtree swaps skipped, a case A1 function whose marked
+    segment needs a swap leaves psi with another in-type census; the census
+    assert is the first check to see it.  (The out-type census cannot differ
+    alone: the in identity fixes it from the in-type census.)"""
+    p = Profile.parse("2;2")
+    f = SFunction(VertexSet(p), PM0, {Vertex(-1, 1): Vertex(0, 2),
+                                      Vertex(-1, 2): Vertex(0, 2),
+                                      Vertex(0, 2): Vertex(-1, 1)})
+    assert psi_with_trace(f)[1]["case"] == "A1"
+    monkeypatch.setattr(bijection_general, "_swap_hanging_subtrees",
+                        lambda tree, _pairs, _paths: tree)
+    with pytest.raises(AssertionError, match="psi must preserve the in-type census"):
+        psi(f)

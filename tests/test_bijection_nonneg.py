@@ -2,6 +2,7 @@
 
 import pytest
 
+from embtrees import bijection_nonneg
 from embtrees import (
     ConditionTViolated,
     PreconditionViolated,
@@ -164,6 +165,22 @@ def test_frustration_alternation_exercised():
             if trace["frustration"]:
                 nonempty += 1
     assert nonempty > 0
+
+
+@pytest.mark.skipif(not __debug__, reason="the census check is an assert")
+def test_census_assert_fires_on_a_tampered_repair(monkeypatch):
+    """With phi2's subtree swaps skipped, a function whose frustration record
+    is not empty leaves phi with another in-type census; the census assert
+    is the first check to see it."""
+    p = Profile.parse("2,2")
+    f = SFunction(VertexSet(p), StepSet([-1, 0, 1]), {Vertex(0, 2): Vertex(1, 2),
+                                                      Vertex(1, 1): Vertex(0, 1),
+                                                      Vertex(1, 2): Vertex(1, 2)})
+    assert phi_with_trace(f)[1]["frustration"]
+    monkeypatch.setattr(bijection_nonneg, "_swap_hanging_subtrees",
+                        lambda tree, _pairs, _paths: tree)
+    with pytest.raises(AssertionError, match="phi must preserve the in-type census"):
+        phi(f)
 
 
 def test_census_level_equality_per_profile():

@@ -32,7 +32,11 @@ from embtrees import (
     validate_profile_for,
 )
 from embtrees.core import (
+    _arcs,
+    _census,
+    _census_of,
     _check_distribution,
+    _digits,
     embedded_cayley_from_json,
     embedded_cayley_to_json,
     marked_stree_from_json,
@@ -214,9 +218,24 @@ def _reference_census(obj, m=None):
                             tuple(sorted(comp.items())), tuple(cvecs[root]))
 
 
+def _unpacked(census):
+    """The in and out tables of an integer census on tuple keys."""
+    width = 2 - census.m
+    span = census.base ** width
+    inn, out = {}, {}
+    for key, c in census.inn.items():
+        i, code = divmod(key, span)
+        inn[(i, _digits(code, census.base, width))] = c
+    for key, c in census.out.items():
+        i, d = divmod(key, width)
+        out[(i, d + census.m)] = c
+    return inn, out
+
+
 class TestIntegerCensus:
     """type_distribution_of, counted on packed integer keys, equals the
-    tuple-keyed reference census."""
+    tuple-keyed reference census, and so do the integer in and out tables
+    that phi and psi compare."""
 
     # min S from 0 to -3: c-vectors of 2 to 5 digits
     STEP_SETS = [StepSet(s) for s in ([0, 1], [-1, 1], [-1, 0, 1], [-2, -1, 1],
@@ -224,7 +243,10 @@ class TestIntegerCensus:
 
     @staticmethod
     def assert_same(obj, m=None):
-        assert type_distribution_of(obj, m=m) == _reference_census(obj, m)
+        reference = _reference_census(obj, m)
+        assert type_distribution_of(obj, m=m) == reference
+        census = _census_of(obj) if m is None else _census(*_arcs(obj), m)
+        assert _unpacked(census) == (reference.inn, reference.out)
 
     @pytest.mark.parametrize("S", STEP_SETS, ids=str)
     def test_every_small_object(self, S):
@@ -260,8 +282,8 @@ class TestIntegerCensus:
         for n in (2, 3, 9, 40):
             star = EmbeddedCayleyTree(n, 1, {v: 1 for v in range(2, n + 1)},
                                       {v: 0 if v == 1 else step for v in range(1, n + 1)}, S)
+            self.assert_same(star)
             d = type_distribution_of(star)
-            assert d == _reference_census(star)
             cvec = [0] * (2 - S.m)
             cvec[step - S.m] = n - 1
             assert d.root_in_type == tuple(cvec)
