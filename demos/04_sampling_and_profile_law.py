@@ -25,8 +25,8 @@ print("=== exact profile law, uniform binary tree, n = 12 ===")
 law = profile_law(12, "binary")
 print(f"{law.total} binary trees across {len(law.masses)} profiles")
 top = sorted(law.masses, key=lambda kv: -kv[1])[:5]
-for (ell, counts), prob in top:
-    print(f"  P[profile = {Profile(counts, ell=ell)}] = {prob} "
+for profile, prob in top:
+    print(f"  P[profile = {profile}] = {prob} "
           f"~ {float(prob):.4f}")
 
 print()

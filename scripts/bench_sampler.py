@@ -3,9 +3,11 @@
     python3 scripts/bench_sampler.py      # writes BENCH_sampler.json
 
 It imports embtrees from the src/ of its own checkout and writes
-BENCH_sampler.json at that checkout's root.  Every point is measured twice,
-in a fresh interpreter with asserts on (the default, which the CLI, the
-demos and the tests use) and in one under -O.
+BENCH_sampler.json at that checkout's root.  Every point is measured RUNS
+times in each of two modes, asserts on (the default, which the CLI, the
+demos and the tests use) and -O, each run in a fresh interpreter that draws
+that one point once.  The runs of a point alternate between the two modes,
+so a slow phase of the host falls on both.
 
 For S = {-1,0,1}, each size n in SIZES and each profile shape:
   thin  1-3 vertices per abscissa (about n/2 abscissas),
@@ -20,10 +22,10 @@ stage by stage, exactly as sample_embedded_cayley draws it:
   serialize  embedded_cayley_to_json,
 and one S-ary tree by sample_sary, of which
   sary       is the assembly of the S-ary shape (sary_from_injective).
-Times are process CPU seconds (time.process_time): each point is drawn
-REPEATS times with the same SEED, and each stage keeps its median.  The
-growth exponent of each stage is the least-squares slope of log(time)
-against log(n) over the sizes.
+Times are process CPU seconds (time.process_time), every run with the same
+SEED.  Each stage keeps the median of its RUNS times and their quartiles.
+The growth exponent of each stage is the least-squares slope of log(median
+time) against log(n) over the sizes.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ SHAPES = ("thin", "sqrt", "wide")
 STAGES = ("draw", "bijection", "relabel", "serialize", "sary")
 SIZES = (1000, 10000, 100000)
 SEED = 1
-REPEATS = 3
+RUNS = 5
+MODES = {"asserts": [], "optimized": ["-O"]}
 
 
 def counts_of(shape: str, n: int, rng: random.Random) -> list[int]:
@@ -108,29 +111,40 @@ def slope(points: list[tuple[int, float]]) -> float | None:
             / sum((x - mx) ** 2 for x, _ in pts))
 
 
-def child() -> None:
-    """Measure every point in this interpreter; print the rows as JSON."""
-    sys.path.insert(0, str(ROOT / "src"))
-    rows = []
-    for n in SIZES:
-        for shape in SHAPES:
-            for negative in (False, True):
-                runs = [measure(n, shape, negative, SEED) for _ in range(REPEATS)]
-                row = runs[0]
-                row["stages_s"] = {stage: statistics.median(r["stages_s"][stage]
-                                                            for r in runs)
-                                   for stage in STAGES}
-                rows.append(row)
-    print(json.dumps(rows))
+def run_point(flags: list[str], n: int, shape: str, negative: bool) -> dict:
+    """One draw of one point in a fresh interpreter (this script again, told
+    so by --child)."""
+    proc = subprocess.run([sys.executable, *flags, __file__, "--child", str(n), shape,
+                           str(int(negative))],
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def summary(runs: list[dict]) -> dict:
+    """The first run's point, with the median and quartiles of each stage."""
+    row = dict(runs[0])
+    times = {stage: [r["stages_s"][stage] for r in runs] for stage in STAGES}
+    row["stages_s"] = {stage: statistics.median(t) for stage, t in times.items()}
+    row["quartiles_s"] = {}
+    for stage, t in times.items():
+        q1, _median, q3 = statistics.quantiles(t, n=4, method="inclusive")
+        row["quartiles_s"][stage] = [q1, q3]
+    return row
 
 
 def main() -> None:
+    rows_of: dict[str, list[dict]] = {mode: [] for mode in MODES}
+    for n in SIZES:
+        for shape in SHAPES:
+            for negative in (False, True):
+                runs: dict[str, list[dict]] = {mode: [] for mode in MODES}
+                for _ in range(RUNS):
+                    for mode, flags in MODES.items():
+                        runs[mode].append(run_point(flags, n, shape, negative))
+                for mode in MODES:
+                    rows_of[mode].append(summary(runs[mode]))
     modes = {}
-    for mode, flags in (("asserts", []), ("optimized", ["-O"])):
-        # the measuring interpreter is this script again, told so by --child
-        proc = subprocess.run([sys.executable, *flags, __file__, "--child"],
-                              stdout=subprocess.PIPE, text=True, check=True)
-        rows = json.loads(proc.stdout.splitlines()[-1])
+    for mode, rows in rows_of.items():
         fits = {}
         for shape in SHAPES:
             for ell_sign in ("ell=0", "ell<0"):
@@ -147,7 +161,8 @@ def main() -> None:
 
     result = {
         "benchmark": "sampler size ladder, S = {-1,0,1}",
-        "clock": f"process CPU seconds, median of {REPEATS} draws per point",
+        "clock": (f"process CPU seconds, median and quartiles of {RUNS} runs per "
+                  "point, each in a fresh interpreter, the modes alternating"),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "processor": platform.processor() or "unknown",
@@ -161,7 +176,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--child"]:
-        child()
+    if sys.argv[1:2] == ["--child"]:
+        sys.path.insert(0, str(ROOT / "src"))
+        size, shape, negative = sys.argv[2:]
+        print(json.dumps(measure(int(size), shape, negative == "1", SEED)))
     else:
         main()

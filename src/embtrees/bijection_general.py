@@ -41,6 +41,7 @@ from .core import (
     condition_t2_dblprime,
     condition_t2_prime,
     satisfies_condition_f,
+    validate_profile_for,
 )
 from .bijection_nonneg import (
     Piece,
@@ -112,8 +113,7 @@ def _cut_and_classify(f: SFunction
     p = f.profile
     if p.ell >= 0:
         raise PreconditionViolated("the general bijection needs ell < 0")
-    if f.step_set.m != -1:
-        raise PreconditionViolated("the general bijection needs min S = -1")
+    validate_profile_for(f.step_set, p)
     if not satisfies_condition_f(f):
         raise PreconditionViolated("condition (F) fails")
     arcs = _cut_spine(f)

@@ -31,6 +31,7 @@ from .core import (
     _census_of,
     condition_t,
     satisfies_condition_f,
+    validate_profile_for,
 )
 
 
@@ -183,6 +184,7 @@ def _phi1_with_pieces(f: SFunction) -> tuple[MarkedSTree, list[Piece]]:
     """Cut, order by decreasing source, concatenate; mark the leftmost source."""
     if f.profile.ell != 0:
         raise PreconditionViolated("phi1 needs a non-negative profile")
+    validate_profile_for(f.step_set, f.profile)
     if not satisfies_condition_f(f):
         raise PreconditionViolated("phi1 needs condition (F)")
     r = f.profile.r

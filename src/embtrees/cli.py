@@ -256,14 +256,13 @@ def cmd_law(args) -> int:
     law = sampler.profile_law(args.n, args.family, steps)
     if args.format == "json":
         data = {"n": law.n, "family": law.family, "total": law.total,
-                "masses": [[str(Profile(c, ell=e)), prob.numerator,
-                            prob.denominator]
-                           for (e, c), prob in law.masses]}
+                "masses": [[str(p), prob.numerator, prob.denominator]
+                           for p, prob in law.masses]}
         print(canonical_json(data))
     else:
         print("profile,numerator,denominator")
-        for (e, c), prob in law.masses:
-            print(f"\"{Profile(c, ell=e)}\",{prob.numerator},{prob.denominator}")
+        for p, prob in law.masses:
+            print(f"\"{p}\",{prob.numerator},{prob.denominator}")
     return 0
 
 

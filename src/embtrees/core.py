@@ -130,9 +130,10 @@ class StepSet:
 class Profile:
     """Vertex counts per abscissa, (n_ell, ..., n_-1; n_0, ..., n_r).
 
-    All stored counts are >= 1 and ell <= 0 <= r.  n(i) returns 0 outside
-    [ell, r].  r is stored rather than recomputed, since count() reads it
-    on every call.
+    ell <= 0 <= r, and n_ell, n_0 and n_r are >= 1; an abscissa strictly
+    inside [ell, r] may be empty (n_i = 0), as a tree with min S <= -2 can
+    leave one below 0.  n(i) returns 0 outside [ell, r].  r is stored rather
+    than recomputed, since count() reads it on every call.
     """
 
     ell: int
@@ -143,11 +144,12 @@ class Profile:
         counts = tuple(int(c) for c in counts)
         if not counts:
             raise InvalidProfile("profile must be nonempty")
-        if any(c < 1 for c in counts):
-            raise InvalidProfile(f"profile counts must be positive: {counts}")
         r = ell + len(counts) - 1
         if not (ell <= 0 <= r):
             raise InvalidProfile(f"profile must cover abscissa 0: ell={ell}, r={r}")
+        if min(counts) < 0 or 0 in (counts[0], counts[-ell], counts[-1]):
+            raise InvalidProfile(
+                f"profile counts must be >= 0, and n_ell, n_0 and n_r >= 1: {counts}")
         object.__setattr__(self, "ell", int(ell))
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "r", r)
@@ -172,13 +174,14 @@ class Profile:
     @staticmethod
     def of_counts(counts: Mapping[int, int]) -> "Profile":
         """The profile with n_i = counts[i] from the least to the greatest
-        key; an abscissa missing in between raises InvalidProfile."""
+        key; an abscissa missing in between is empty (n_i = 0)."""
         lo, hi = min(counts), max(counts)
         return Profile([counts.get(i, 0) for i in range(lo, hi + 1)], ell=lo)
 
     @staticmethod
     def parse(text: str) -> "Profile":
-        """Parse paper notation "2;2,1" (semicolon before n_0; none means ell=0)."""
+        """Parse paper notation "2;2,1" (semicolon before n_0; none means
+        ell=0); "1,0;1" is n_-2 = 1, n_-1 = 0, n_0 = 1."""
         text = text.strip()
         if ";" in text:
             neg, nonneg = text.split(";")
@@ -202,11 +205,21 @@ def hypothesis_holds(step_set: StepSet, ell: int) -> bool:
     return ell == 0 or step_set.m == -1
 
 
+def products_hold(step_set: StepSet, profile: Profile) -> bool:
+    """Whether the paper's products count the profile, and its (F)-functions
+    feed the bijections: hypothesis_holds and no abscissa is empty (no
+    (F)-function has one, since (F) fixes an arc at every i^1)."""
+    return hypothesis_holds(step_set, profile.ell) and 0 not in profile.counts
+
+
 def validate_profile_for(step_set: StepSet, profile: Profile) -> None:
-    """Raise HypothesisViolation unless hypothesis_holds for the profile."""
+    """Raise HypothesisViolation unless products_hold for the profile."""
     if not hypothesis_holds(step_set, profile.ell):
         raise HypothesisViolation(
             f"ell = {profile.ell} < 0 needs min S = -1, got min S = {step_set.m}")
+    if not products_hold(step_set, profile):
+        raise HypothesisViolation(
+            f"profile {profile} leaves an abscissa empty, which no (F)-function does")
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +363,8 @@ def satisfies_condition_f(f: SFunction) -> bool:
     f(i^1) = (i+1)^1 for ell <= i <= -2 and f(-1^1) in V_0.
     """
     p = f.profile
+    if 0 in p.counts:  # no i^1 at an empty abscissa
+        return False
     for i in range(1, p.r + 1):
         if f.image[Vertex(i, 1)] != Vertex(i - 1, 1):
             return False
@@ -649,44 +664,6 @@ class SAryTree:
 
     def profile(self) -> Profile:
         return Profile.of_counts(Counter(node.abscissa for node in self.nodes()))
-
-
-def shape_key(tree: EmbeddedCayleyTree) -> tuple:
-    """Canonical shape of an embedded Cayley tree: equal keys iff the trees
-    are equivalent (differ only by a renaming of the labels).
-
-    Subtree shapes are ranked height by height, ordered by (height,
-    abscissa, sorted child ranks); the key lists the distinct shapes of each
-    height.  Iterative and flat, so any height is fine.
-    """
-    children: dict[int, list[int]] = {v: [] for v in range(1, tree.n + 1)}
-    for v, w in tree.parent.items():
-        children[w].append(v)
-    order = [tree.root]
-    for v in order:  # breadth first, so every child comes after its parent
-        order.extend(children[v])
-    height: dict[int, int] = {}
-    for v in reversed(order):
-        height[v] = max((height[c] + 1 for c in children[v]), default=0)
-    levels: list[list[int]] = [[] for _ in range(height[tree.root] + 1)]
-    for v in order:
-        levels[height[v]].append(v)
-    rank: dict[int, int] = {}
-    key = []
-    offset = 0  # distinct shapes of the lower heights
-    for level in levels:
-        shape = {v: (tree.abscissa[v], tuple(sorted(rank[c] for c in children[v])))
-                 for v in level}
-        distinct = sorted(set(shape.values()))
-        index = {s: offset + j for j, s in enumerate(distinct)}
-        offset += len(distinct)
-        rank.update((v, index[s]) for v, s in shape.items())
-        key.append(tuple(distinct))
-    return tuple(key)
-
-
-def equivalent(t1: EmbeddedCayleyTree, t2: EmbeddedCayleyTree) -> bool:
-    return shape_key(t1) == shape_key(t2)
 
 
 # ---------------------------------------------------------------------------

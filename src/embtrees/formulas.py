@@ -6,10 +6,11 @@ empty products are 1, 0^0 = 1, and C(a, b) = 0 when b < 0 or b > a, so the
 edge cases (r = 0, ell = 0, n_i = 1) evaluate without special-casing.
 
 The Cayley and S-ary profile counts hold for every profile and every S: where
-the paper's hypothesis (min S = -1 or ell = 0) fails, they are the
-Lagrange-Good expansion, a product of local rows times one configuration_sum
-over the disjoint cycles of G_{ell,r}(S), evaluated by a transfer recurrence
-linear in the span.  The paper's ell = -1 and -2 products are instances.
+the paper's hypothesis (min S = -1 or ell = 0) fails, or the profile leaves an
+abscissa empty, they are the Lagrange-Good expansion, a product of local rows
+times one configuration_sum over the disjoint cycles of G_{ell,r}(S), evaluated
+by a transfer recurrence linear in the span.  The paper's ell = -1 and -2
+products are instances.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .core import (
     StepSet,
     Vertex,
     _children,
-    hypothesis_holds,
+    products_hold,
     validate_profile_for,
 )
 
@@ -157,20 +158,20 @@ def cayley_factors(step_set: StepSet, profile: Profile,
                    weights: Mapping | None = None) -> Factors:
     """S-embedded Cayley trees with a given vertical profile, x_{i,s} marking
     the vertices of out-type (i;s) (all x = 1 when weights is None).  With
-    d_i = sum_s n_{i-s} x_{i,s}, where min S = -1 or ell = 0 this is the
-    paper's product
+    d_i = sum_s n_{i-s} x_{i,s}, where products_hold this is the paper's
+    product
     (n_0/(n_ell n_r)) (n!/prod (n_i-1)!) prod_{i<0} x_{i,-1} prod_{i>0} x_{i,1}
     prod_i d_i^{n_i-1},
     and for every profile it is the Lagrange-Good expansion
-    n_0 (n!/prod n_i!) prod_{i != 0} d_i^{n_i-1} d_0^{max(n_0-2, 0)} P,
-    P the configuration_sum with off[i] = d_i (1 at i = 0 when n_0 = 1),
-    on[i] = n_i - chi_{i=0} and arc = x.
+    n_0 (n!/prod n_i!) prod_{i != 0, n_i > 0} d_i^{n_i-1} d_0^{max(n_0-2, 0)} P,
+    P the configuration_sum with off[i] = d_i (1 at i = 0 when n_0 = 1, and
+    at an empty abscissa), on[i] = n_i - chi_{i=0} and arc = x.
     """
     p = profile
     x = _weights(weights)
     mark = "" if weights is None else " x_{i,s}"
     d = _image_sums(step_set, p, x)
-    if hypothesis_holds(step_set, p.ell):
+    if products_hold(step_set, p):
         rows = [_marked_vertex(p),
                 ("relabelings n!/prod (n_i-1)!", math.factorial(p.n) // math.prod(
                     math.factorial(ni - 1) for _i, ni in p.items()))]
@@ -180,12 +181,12 @@ def cayley_factors(step_set: StepSet, profile: Profile,
         return rows + [(f"image choices at abscissa {i}: (sum_s n_{{i-s}}{mark})^(n_i-1)",
                         d[i] ** (ni - 1)) for i, ni in p.items()]
     n0 = p.count(0)
-    off = {**d, 0: d[0] if n0 > 1 else 1}
+    off = {i: d[i] if ni > (i == 0) else 1 for i, ni in p.items()}
     on = {i: ni - (i == 0) for i, ni in p.items()}
     return [("root multiplicity n_0", n0),
             ("relabelings n!/prod n_i!", _multinomial(p.counts)),
             *((f"image choices at abscissa {i}: (sum_s n_{{i-s}}{mark})^(n_i-1)",
-               d[i] ** (ni - 1)) for i, ni in p.items() if i != 0),
+               d[i] ** (ni - 1)) for i, ni in p.items() if i != 0 and ni),
             (f"image choices at abscissa 0: (sum_s n_{{-s}}{mark})^max(n_0-2,0)",
              d[0] ** max(n0 - 2, 0)),
             ("configuration sum P_{ell,r}",
@@ -200,14 +201,14 @@ def count_cayley_profile(step_set: StepSet, profile: Profile) -> BigCount:
 
 def sary_factors(step_set: StepSet, profile: Profile) -> Factors:
     """S-ary trees with a given vertical profile.  With d_i = sum_s n_{i-s},
-    where min S = -1 or ell = 0 this is the paper's product
+    where products_hold this is the paper's product
     (n_0 / (n_ell n_r)) C(d_0, n_0 - 1) prod_{i != 0} C(d_i - 1, n_i - 1),
     and for every profile it is the configuration_sum with
     off[i] = C(d_i, n_i - chi_{i=0}), on[i] = C(d_i - 1, n_i - chi_{i=0} - 1)
-    and arc = 1."""
+    and arc = 1 (so off 1 and on 0 at an empty abscissa)."""
     p = profile
     d = _image_sums(step_set, p, _weights(None))
-    if hypothesis_holds(step_set, p.ell):
+    if products_hold(step_set, p):
         return [_marked_vertex(p),
                 ("level 0: C(sum_s n_-s, n_0 - 1)", comb(d[0], p.count(0) - 1)),
                 *((f"level {i}: C(sum_s n_{{i-s}} - 1, n_i - 1)", comb(d[i] - 1, ni - 1))

@@ -14,6 +14,7 @@ once for each rooted tree on 1..n, whatever its root, that has the shape.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -133,7 +134,8 @@ def enumerate_sfunctions(step_set: StepSet, profile: Profile, regime: str | None
     The profile decides the case: "nonneg" when ell = 0, "general" when
     ell < 0.  regime stays only for a caller that passes it positionally
     (perfbench's round-trip workload); any value other than the profile's
-    case raises ValueError.
+    case raises ValueError.  A profile that leaves an abscissa empty has no
+    (F)-function: (F) fixes an arc at every i^1.
     """
     if regime not in (None, "general" if profile.ell < 0 else "nonneg"):
         raise ValueError(f"regime {regime!r} does not match ell = {profile.ell}")
@@ -143,6 +145,8 @@ def enumerate_sfunctions(step_set: StepSet, profile: Profile, regime: str | None
         raise ValueError(f"unknown constraint {constraint!r}")
     budget = _budget(budget)
     budget.check_size(profile.n)
+    if 0 in profile.counts:
+        return
     vset = VertexSet(profile)
     forced: dict[Vertex, Vertex] = {}
     for i in range(1, profile.r + 1):
@@ -198,9 +202,12 @@ def enumerate_marked_strees(step_set: StepSet, profile: Profile,
                             ) -> Iterator[MarkedSTree]:
     """All marked S-trees that the bijection for the profile's case reaches,
     verified by the explicit path-walk predicates: (T) (root 0^1) when
-    ell = 0, (T1) and (T2) (root in V_0) when ell < 0."""
+    ell = 0, (T1) and (T2) (root in V_0) when ell < 0.  It reaches none when
+    the profile leaves an abscissa empty, as it has no (F)-function."""
     budget = _budget(budget)
     budget.check_size(profile.n)
+    if 0 in profile.counts:
+        return
     vset = VertexSet(profile)
     if profile.ell == 0:
         roots = [Vertex(0, 1)]
@@ -423,8 +430,7 @@ def census_by_type(stream: Iterable, granularity: str) -> dict:
     census: dict = {}
     for obj in stream:
         if granularity == "profile":
-            prof = obj.profile() if callable(getattr(obj, "profile")) else obj.profile
-            key = (prof.ell, prof.counts)
+            key = obj.profile() if callable(getattr(obj, "profile")) else obj.profile
         else:
             key = _CENSUS_KEYS[granularity](type_distribution_of(obj))
         census[key] = census.get(key, 0) + 1
@@ -565,13 +571,16 @@ def sweep_embedded_censuses(step_set: StepSet, n: int,
                             budget: EnumerationBudget | None = None,
                             ) -> dict[str, dict]:
     """Censuses of ALL S-embedded Cayley trees of size n, bucketed first by
-    profile: result[g][(ell, counts)][census_key] = count.  "count" buckets
-    just the number of trees per profile.
+    profile: result[g][profile][census_key] = count, for the Profile of each
+    tree, empty abscissas included.  "count" buckets just the number of trees
+    per profile.
 
     One search per DFS shape places the DFS positions by steps of S from
     abscissa 0; each placement counts once for every tree of that shape.
     Census keys are those of type_distribution_of (c-vectors dense over
-    min S .. 1), computed on the placement's arrays.
+    min S .. 1), computed on the placement's arrays.  The placements are
+    bucketed by their sorted abscissas, and each distinct bucket becomes a
+    Profile once, at the end.
     """
     for g in granularities:
         if g not in _CENSUS_KEYS:
@@ -581,8 +590,7 @@ def sweep_embedded_censuses(step_set: StepSet, n: int,
     steps = sorted(step_set)
 
     def visit(parent: dict[int, int], place: list[int], trees: int) -> None:
-        lo = min(place)
-        pkey = (lo, tuple(map(place.count, range(lo, max(place) + 1))))
+        pkey = tuple(sorted(place))
         result["count"][pkey] = result["count"].get(pkey, 0) + trees
         if granularities:
             dist = _type_distribution(place, parent, 0, step_set.m)
@@ -592,7 +600,9 @@ def sweep_embedded_censuses(step_set: StepSet, n: int,
                 bucket[key] = bucket.get(key, 0) + trees
 
     _shape_search(n, 0, lambda a: [a + s for s in steps], visit, budget)
-    return result
+    profile = {pkey: Profile.of_counts(Counter(pkey)) for pkey in result["count"]}
+    return {g: {profile[pkey]: v for pkey, v in buckets.items()}
+            for g, buckets in result.items()}
 
 
 def sweep_target_censuses(adj: dict[int, list[int]], root_node: int, n: int,

@@ -15,6 +15,7 @@ and normalizing the counting formulas by the total.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,13 +168,23 @@ def sample_sary(step_set: StepSet, profile: Profile, seed=None) -> SAryTree:
 # the exact profile law
 # ---------------------------------------------------------------------------
 
-def enumerate_profiles(n: int) -> Iterator[Profile]:
-    """All profiles of total size n: compositions of n into positive parts
-    with a marked part for abscissa 0."""
+def enumerate_profiles(n: int, step_set: StepSet | None = None) -> Iterator[Profile]:
+    """All profiles of total size n that an S-embedded tree can have:
+    compositions of n into positive parts with a marked part for abscissa 0,
+    and, given a step set with min S <= -2, every way to leave runs of at
+    most -min S - 1 empty abscissas between the parts below 0 (a step of S
+    skips no more).  Without a step set, or with min S >= -1, no abscissa is
+    empty."""
+    gap = 0 if step_set is None else max(-step_set.m - 1, 0)
     for k in range(1, n + 1):
         for c in _compositions(n - k, k):  # each part less one
-            for ell in range(-(k - 1), 1):
-                yield Profile([part + 1 for part in c], ell=ell)
+            for neg in range(k - 1, -1, -1):  # the parts below abscissa 0
+                for runs in itertools.product(range(gap + 1), repeat=neg):
+                    counts = [c[0] + 1]
+                    for run, part in zip(runs, c[1:]):
+                        counts += [0] * run + [part + 1]
+                    counts += [part + 1 for part in c[neg + 1:]]
+                    yield Profile(counts, ell=-neg - sum(runs))
 
 
 @dataclass(frozen=True)
@@ -184,12 +195,11 @@ class ProfileLaw:
     n: int
     family: str
     step_set: StepSet | None
-    masses: tuple[tuple[tuple[int, tuple[int, ...]], Fraction], ...]
+    masses: tuple[tuple[Profile, Fraction], ...]
     total: int
 
     def items(self) -> Iterator[tuple[Profile, Fraction]]:
-        for (ell, counts), prob in self.masses:
-            yield Profile(counts, ell=ell), prob
+        return iter(self.masses)
 
 
 # family: (the largest n its law enumerates, the count of one profile over S)
@@ -202,10 +212,10 @@ _LAWS = {
 
 def profile_law(n: int, family: str,
                 step_set: StepSet | None = None) -> ProfileLaw:
-    """The law over all profiles of size n for family "binary", "sary"
-    (needs step_set), or "cayley" (needs step_set).  Below min S = -1 a tree
-    can leave an abscissa empty; it has no Profile, so the law is over the
-    trees without an empty abscissa and total counts only those."""
+    """The law over all profiles of size n (enumerate_profiles over the step
+    set, so every tree of size n counts) for family "binary", "sary" (needs
+    step_set), or "cayley" (needs step_set).  Masses are listed by (ell,
+    counts)."""
     if family not in _LAWS:
         raise ValueError(f"unknown family {family!r}")
     largest, count = _LAWS[family]
@@ -216,14 +226,15 @@ def profile_law(n: int, family: str,
 
     masses = []
     total = 0
-    for p in enumerate_profiles(n):
+    for p in enumerate_profiles(n, step_set):
         c = count(step_set, p)
         if c:
-            masses.append(((p.ell, p.counts), c))
+            masses.append((p, c))
             total += c
+    masses.sort(key=lambda pc: (pc[0].ell, pc[0].counts))
     law = ProfileLaw(
         n=n, family=family, step_set=step_set,
-        masses=tuple(((k, Fraction(c, total)) for k, c in sorted(masses))),
+        masses=tuple((p, Fraction(c, total)) for p, c in masses),
         total=total)
     assert sum(prob for _k, prob in law.masses) == 1
     return law

@@ -52,6 +52,7 @@ from embtrees import (
     count_tree_in_tree,
     enumerate_embedded_cayley,
     enumerate_marked_strees,
+    enumerate_profiles,
     enumerate_sary,
     enumerate_sfunctions,
     eval_P,
@@ -72,7 +73,8 @@ from embtrees import (
     tree_in_tree_det,
     type_distribution_of,
 )
-from embtrees.core import embedded_cayley_to_json, sary_to_json, sfunction_to_json
+from embtrees.core import (embedded_cayley_to_json, products_hold, sary_to_json,
+                           sfunction_to_json)
 from embtrees.oracle import (
     EnumerationBudget,
     compatible_distributions,
@@ -201,16 +203,19 @@ def _lagrange_good_count(steps, profile: Profile) -> int:
 
 def test_criterion_3_formula_equals_oracle():
     t0 = time.time()
-    checked = {"profile": 0, "sary": 0, "out": 0, "sary_out": 0, "in": 0,
-               "sary_in": 0, "complete": 0}
+    checked = {"profile": 0, "gapped": 0, "sary": 0, "out": 0, "sary_out": 0,
+               "in": 0, "sary_in": 0, "complete": 0}
     for S in ALL_STEP_SETS:
         grans = ["out", "in"]
         if 0 not in S:
             grans.append("complete")
         for n in range(1, MAX_N + 1):
             sweep = sweep_embedded_censuses(S, n, tuple(grans), BIG)
-            for p in profiles_of_size(n):
+            visited = set()
+            for p in enumerate_profiles(n, S):
                 _check_profile_against_sweep(S, p, sweep, checked)
+                visited.add(p)
+            assert set(sweep["count"]) <= visited, (S, n)
     elapsed = time.time() - t0
     _report("criterion 3 (Theorems 2.1-2.6 == oracle, pointwise)", True,
             f"{checked} in {elapsed:.0f}s")
@@ -219,23 +224,23 @@ def test_criterion_3_formula_equals_oracle():
 
 def _check_profile_against_sweep(S: StepSet, p: Profile, sweep: dict,
                                  checked: dict) -> None:
-    pkey = (p.ell, p.counts)
-    observed = sweep["count"].get(pkey, 0)
-    hypotheses_ok = (p.ell == 0 or S.m == -1)
+    observed = sweep["count"].get(p, 0)
 
     # Theorem 2.1 / 2.2: profiles, and their Lagrange-Good expansion where
-    # the paper's hypothesis min S = -1 or ell = 0 fails
+    # the paper's hypothesis min S = -1 or ell = 0 fails or an abscissa is
+    # empty; 0 where the sweep has no tree
     sary_census: dict = {}
     sary_objects = list(enumerate_sary(S, p, BIG))
     assert count_cayley_profile(S, p) == observed, (S, str(p))
     assert count_sary_profile(S, p) == len(sary_objects), (S, str(p))
     checked["profile"] += 1
+    checked["gapped"] += 0 in p.counts
     checked["sary"] += 1
-    if not hypotheses_ok:
-        return  # the type theorems keep their hypothesis
+    if not products_hold(S, p):
+        return  # the type theorems keep their hypothesis, with no gap
 
     # Theorem 2.3 / 2.4: out-types, pointwise over all compatible counts
-    out_census = sweep["out"].get(pkey, {})
+    out_census = sweep["out"].get(p, {})
     for t in sary_objects:
         key = type_distribution_of(t, m=S.m).out_key()
         sary_census[key] = sary_census.get(key, 0) + 1
@@ -252,29 +257,28 @@ def _check_profile_against_sweep(S: StepSet, p: Profile, sweep: dict,
 
     # Theorem 2.5 (+ S-ary remark): in-types over the interval [m, 1]
     interval = StepSet(range(S.m, 2))
-    if p.ell == 0 or S.m == -1:
-        in_census = sweep["in"].get(pkey, {})
-        sary_in_census: dict = {}
-        for t in sary_objects:
-            key = type_distribution_of(t, m=S.m).in_key()
-            sary_in_census[key] = sary_in_census.get(key, 0) + 1
-        seen_in = set()
-        for inn in compatible_distributions(S, p, "in"):
-            key = tuple(sorted(inn.items()))
-            seen_in.add(key)
-            assert count_cayley_in(interval, inn) == in_census.get(key, 0), \
-                (S, str(p), inn)
-            checked["in"] += 1
-            if all(max(cv) <= 1 for (_i, cv) in inn):
-                assert count_sary_in(interval, inn) == \
-                    sary_in_census.get(key, 0), (S, str(p), inn)
-                checked["sary_in"] += 1
-        assert set(in_census) <= seen_in
+    in_census = sweep["in"].get(p, {})
+    sary_in_census: dict = {}
+    for t in sary_objects:
+        key = type_distribution_of(t, m=S.m).in_key()
+        sary_in_census[key] = sary_in_census.get(key, 0) + 1
+    seen_in = set()
+    for inn in compatible_distributions(S, p, "in"):
+        key = tuple(sorted(inn.items()))
+        seen_in.add(key)
+        assert count_cayley_in(interval, inn) == in_census.get(key, 0), \
+            (S, str(p), inn)
+        checked["in"] += 1
+        if all(max(cv) <= 1 for (_i, cv) in inn):
+            assert count_sary_in(interval, inn) == \
+                sary_in_census.get(key, 0), (S, str(p), inn)
+            checked["sary_in"] += 1
+    assert set(in_census) <= seen_in
 
     # Theorem 2.6: complete types (0 not in S, non-negative profiles)
     if 0 not in S and p.ell == 0:
         formula_steps = StepSet(list(range(S.m, 0)) + [1])
-        comp_census = sweep["complete"].get(pkey, {})
+        comp_census = sweep["complete"].get(p, {})
         seen_c = set()
         for root_cv, comp in compatible_distributions(S, p, "complete"):
             key = (root_cv, tuple(sorted(comp.items())))

@@ -27,6 +27,12 @@ class TestCount:
                            "--profile", "2;2,1")
         assert code == 0 and out.strip() == "720"
 
+    def test_gapped_profile(self, capsys):
+        # "1,0;1" is n_-2 = 1, n_-1 = 0, n_0 = 1: the root and one child two below
+        code, out, _ = run(capsys, "count", "cayley", "--steps", "-2,-1,1",
+                           "--profile", "1,0;1")
+        assert code == 0 and out == "2\n"
+
     def test_explain_factors(self, capsys):
         code, out, _ = run(capsys, "count", "cayley", "--steps", "-1,1",
                            "--profile", "2;2,1", "--explain")
@@ -203,6 +209,14 @@ class TestSample:
         assert code1 == code2 == 0
         assert out1 == out2
         assert len(out1.splitlines()) == 3
+
+    @pytest.mark.parametrize("family", ["cayley", "sary", "function"])
+    def test_gapped_profile_exits_two(self, capsys, family):
+        code, out, err = run(capsys, "sample", family, "--steps", "-1,0,1",
+                             "--profile", "1,0,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "empty" in err
+        assert len(err.splitlines()) == 1
 
     def test_function_family(self, capsys):
         code, out, _ = run(capsys, "sample", "function", "--steps", "-1,1",

@@ -21,10 +21,13 @@ from embtrees import (
     TypeDistribution,
     Vertex,
     VertexSet,
+    count_function_family,
+    enumerate_profiles,
     is_injective,
     phi,
     psi,
     sample_embedded_cayley,
+    sample_sary,
     sample_sfunction,
     sary_from_injective,
     satisfies_condition_f,
@@ -48,7 +51,7 @@ from embtrees.core import (
 )
 from embtrees.oracle import (census_by_type, enumerate_embedded_cayley,
                              enumerate_marked_strees, enumerate_sary,
-                             enumerate_sfunctions)
+                             enumerate_sfunctions, sweep_embedded_censuses)
 
 from conftest import ALL_STEP_SETS, profiles_up_to
 
@@ -84,14 +87,20 @@ class TestProfile:
         assert (p0.ell, p0.r) == (0, 1)
 
     def test_str_round_trip(self):
-        for text in ["2;2,1", "1,2", "1,1,1,2,1;1", "3"]:
+        for text in ["2;2,1", "1,2", "1,1,1,2,1;1", "3", "1,0;1", "1,0,1", "2,0,0,1;1,0,1"]:
             assert str(Profile.parse(text)) == text
 
     def test_rejects_bad_profiles(self):
-        with pytest.raises(InvalidProfile):
-            Profile([1, 0, 1])
+        # a zero is allowed strictly inside [ell, r] but not at ell, 0 or r
+        for counts, ell in (((0, 1), -1), ((1, 0), -1), ((0, 1), 0), ((1, 0), 0),
+                            ((1, -1, 1), -1), ((1, -1, 1), 0)):
+            with pytest.raises(InvalidProfile):
+                Profile(counts, ell=ell)
         with pytest.raises(InvalidProfile):
             Profile([1, 1], ell=-5)  # r = -4 < 0
+        p = Profile([1, 0, 1])
+        assert (p.ell, p.r, p.n, p.count(1)) == (0, 2, 2, 0)
+        assert Profile.parse("1,0;1") == Profile([1, 0, 1], ell=-2)
 
     def test_count_outside_range_is_zero(self):
         p = Profile.parse("2;2,1")
@@ -112,6 +121,57 @@ class TestValidateProfileFor:
         # ell = 0 needs nothing of min S
         for steps in ([1], [0, 1], [-2, 1], [-2, -1, 1]):
             validate_profile_for(StepSet(steps), Profile.parse("1,2"))
+
+    def test_empty_abscissa_rejected(self):
+        # no (F)-function has an empty abscissa, whatever S
+        for steps, profile in (([-1, 0, 1], "1,0,1"), ([-1, 1], "1,0;1"),
+                               ([-2, -1, 1], "1,0,1"), ([1], "2,0,1")):
+            with pytest.raises(HypothesisViolation, match="empty"):
+                validate_profile_for(StepSet(steps), Profile.parse(profile))
+
+
+class TestEmptyAbscissa:
+    """A tree over a step set with min S <= -2 may leave an abscissa below 0
+    empty, and its profile says so."""
+
+    S = StepSet([-2, -1, 1])
+
+    def test_profile_of_a_gapped_tree(self):
+        t = EmbeddedCayleyTree(2, 1, {2: 1}, {1: 0, 2: -2}, self.S)
+        gapped = Profile([1, 0, 1], ell=-2)
+        assert t.profile() == gapped
+        assert SAryTree(0, ((-2, SAryTree(-2)),)).profile() == gapped
+        assert type_distribution_of(t).profile() == gapped
+        assert census_by_type([t], "profile") == {gapped: 1}
+
+    def test_profile_census_equals_the_sweep(self):
+        for n in range(1, 5):
+            trees = (t for p in enumerate_profiles(n, self.S)
+                     for t in enumerate_embedded_cayley(self.S, p))
+            census = census_by_type(trees, "profile")
+            assert census == sweep_embedded_censuses(self.S, n, ())["count"], n
+            assert any(0 in p.counts for p in census) == (n >= 2), n
+
+    def test_gapped_profiles_are_refused_where_f_needs_every_spine_vertex(self):
+        S = StepSet([-1, 0, 1])
+        p = Profile.parse("1,0,1")
+        loop = SFunction(VertexSet(p), S, {Vertex(2, 1): Vertex(2, 1)})
+        assert not satisfies_condition_f(loop)
+        for refuse in (lambda: sample_sfunction(S, p, seed=1),
+                       lambda: sample_embedded_cayley(S, p, seed=1),
+                       lambda: sample_sary(S, p, seed=1),
+                       lambda: phi(loop),
+                       lambda: psi(SFunction(VertexSet(Profile.parse("1,0;1")), S,
+                                             {Vertex(-2, 1): Vertex(0, 1)}, validate=False)),
+                       lambda: count_function_family("profile", S, profile=p),
+                       lambda: count_function_family("injective_profile", S, profile=p)):
+            with pytest.raises(HypothesisViolation, match="empty"):
+                refuse()
+        for steps, text in (([-1, 0, 1], "1,0,1"), ([-1, 1], "1,0;1"),
+                            ([-2, -1, 1], "1,0;1"), ([-2, -1, 1], "1,0,1;1")):
+            S, p = StepSet(steps), Profile.parse(text)
+            assert list(enumerate_sfunctions(S, p)) == []
+            assert list(enumerate_marked_strees(S, p)) == []
 
 
 class TestVertexOrder:
@@ -480,42 +540,6 @@ class TestSAryEquivalence:
 
 
 class TestEquivalenceAndVertexTypes:
-    def test_equivalence_classes_match_paper_shapes(self):
-        # (2;2,1) has 7 shapes: 5 asymmetric (5! labelings) + 2 with a
-        # symmetry (5!/2 labelings) -> 5*120 + 2*60 = 720
-        from embtrees.core import equivalent, shape_key
-        S = StepSet([-1, 1])
-        trees = list(enumerate_embedded_cayley(S, Profile.parse("2;2,1")))
-        classes: dict = {}
-        for t in trees:
-            classes.setdefault(shape_key(t), []).append(t)
-        assert len(classes) == 7
-        assert sorted(len(c) for c in classes.values()) == [60, 60] + [120] * 5
-        some = next(iter(classes.values()))
-        assert equivalent(some[0], some[1])
-        other = [c for c in classes.values() if c is not some][0]
-        assert not equivalent(some[0], other[0])
-
-    def test_shape_key_partition_matches_nested_reference(self):
-        from embtrees.core import shape_key
-
-        def nested(t):  # the recursive canonical form, for small trees
-            children = {v: [] for v in range(1, t.n + 1)}
-            for v, w in t.parent.items():
-                children[w].append(v)
-
-            def encode(v):
-                return (t.abscissa[v], tuple(sorted(encode(c) for c in children[v])))
-            return encode(t.root)
-
-        for S in (StepSet([-1, 1]), StepSet([-1, 0, 1])):
-            for p in profiles_up_to(4):
-                by_key: dict = {}
-                for t in enumerate_embedded_cayley(S, p):
-                    by_key.setdefault(shape_key(t), set()).add(nested(t))
-                assert all(len(refs) == 1 for refs in by_key.values())
-                assert len({next(iter(r)) for r in by_key.values()}) == len(by_key)
-
     def test_sary_equality_is_structural(self):
         S = StepSet([-1, 0, 1])
         for p in profiles_up_to(4):

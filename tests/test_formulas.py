@@ -1,6 +1,5 @@
 """Closed-form counts against paper values and brute-force oracles."""
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -16,7 +15,6 @@ from embtrees import (
     Profile,
     StepSet,
     TargetTree,
-    CycleGraph,
     Vertex,
     VertexSet,
     count_binary_horizontal,
@@ -33,18 +31,20 @@ from embtrees import (
     count_sary_profile,
     count_tree_in_tree,
     count_tree_in_tree_oracle,
-    enumerate_cycle_configurations,
     enumerate_embedded_cayley,
+    enumerate_profiles,
     enumerate_sfunctions,
     eval_out_gf,
+    profile_law,
     type_distribution_of,
 )
 from embtrees.oracle import (
     census_by_type,
     compatible_distributions,
+    sweep_embedded_censuses,
 )
 
-from conftest import compositions, profiles_of_size, profiles_up_to
+from conftest import profiles_up_to
 
 PM = StepSet([-1, 1])
 
@@ -542,68 +542,36 @@ class TestBeyondMinusOne:
 S_221 = StepSet([-2, -1, 1])
 
 
-@functools.cache
-def _covered_runs(ell: int, r: int) -> list[tuple[int, frozenset]]:
-    """(number of cycles, vertices covered) of every configuration of the
-    runs of G_{ell,r}({-2,-1,1})."""
-    return [(len(config), frozenset(v for verts, _arcs in config for v in verts))
-            for config in enumerate_cycle_configurations(CycleGraph(ell, r, S_221))]
-
-
-def _expansion(ell: int, counts: list[int], family: str) -> int:
-    """The Lagrange-Good count of a profile that may have empty abscissas,
-    straight from the configurations: with e_i = n_i - chi_{i=0} - chi_{i in C}
-    and d_i = sum_s n_{i-s}, Cayley trees are n! sum_C (-1)^|C| prod d_i^e_i / e_i!
-    and S-ary trees sum_C (-1)^|C| prod C(d_i - chi_{i in C}, e_i)."""
-    r = ell + len(counts) - 1
-
-    def n(i):
-        return counts[i - ell] if ell <= i <= r else 0
-
-    total = 0
-    for k, covered in _covered_runs(ell, r):
-        term = (-1) ** k
-        for i in range(ell, r + 1):
-            e = n(i) - (i == 0) - (i in covered)
-            d = sum(n(i - s) for s in S_221) - (family == "sary" and i in covered)
-            if e < 0 or (family == "sary" and d < e):
-                term = 0
-                break
-            term *= Fraction(d ** e, math.factorial(e)) if family == "cayley" else math.comb(d, e)
-        total += term
-    return total * math.factorial(sum(counts)) if family == "cayley" else total
-
-
-def _gapped_profiles(n: int):
-    """(ell, counts) of size n with at least one empty abscissa, never two in
-    a row (a step of {-2,-1,1} skips one abscissa at most), and n_0 >= 1."""
-    for k in range(2, n + 1):
-        for parts in compositions(n, k):
-            for mask in range(1, 2 ** (k - 1)):
-                counts = [parts[0]]
-                for j, c in enumerate(parts[1:]):
-                    counts += [0, c] if mask >> j & 1 else [c]
-                for ell in range(1 - len(counts), 1):
-                    if counts[-ell]:
-                        yield ell, counts
-
-
-class TestClosuresBelowMinusOne:
-    """Over S = {-2,-1,1} a tree may leave an abscissa empty, and a Profile
-    has none, so the closures read: the library's counts over the profiles
-    plus the expansion over the gapped count vectors."""
+class TestEmptyAbscissas:
+    """Below min S = -1 a tree may leave an abscissa empty; its profile has a
+    zero count there, and the library counts it like any other."""
 
     def test_cayley_closure(self):
         for n in range(1, 7):
-            total = sum(count_cayley_profile(S_221, p) for p in profiles_of_size(n))
-            total += sum(_expansion(ell, c, "cayley") for ell, c in _gapped_profiles(n))
-            assert total == n ** (n - 1) * 3 ** (n - 1), n
+            assert profile_law(n, "cayley", S_221).total == n ** (n - 1) * 3 ** (n - 1), n
 
     def test_sary_closure(self):
         for n in range(1, 8):
-            total = sum(count_sary_profile(S_221, p) for p in profiles_of_size(n))
-            total += sum(_expansion(ell, c, "sary") for ell, c in _gapped_profiles(n))
+            total = sum(count_sary_profile(S_221, p) for p in enumerate_profiles(n, S_221))
             assert total == math.comb(3 * n, n - 1) // n, n
+
+    @pytest.mark.parametrize("steps", [[-2, -1, 1], [-2, 1], [-3, -1, 1], [-2, 0, 1]],
+                             ids=str)
+    def test_cayley_count_equals_the_sweep(self, steps):
+        # every sweep key is enumerated, and counts 0 where the sweep has none
+        S = StepSet(steps)
+        for n in range(1, 7):
+            trees = sweep_embedded_censuses(S, n, ())["count"]
+            profiles = list(enumerate_profiles(n, S))
+            assert set(trees) <= set(profiles), n
+            for p in profiles:
+                assert count_cayley_profile(S, p) == trees.get(p, 0), (n, str(p))
+
+    def test_gapped_counts_vanish_for_min_step_minus_one(self):
+        for S in (PM, StepSet([-1, 0, 1])):
+            for text in ("1,0,1", "1,0;1", "2,0,1;1", "1;1,0,2"):
+                p = Profile.parse(text)
+                assert count_cayley_profile(S, p) == count_sary_profile(S, p) == 0
 
 
 class TestTreeInTree:

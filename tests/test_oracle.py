@@ -337,9 +337,7 @@ def _all_roots_sweep(step_set, n, granularities):
             absc = {root: 0}
             for v, s in zip(order[1:], steps):
                 absc[v] = absc[parent[v]] + s
-            counts = Counter(absc.values())
-            lo, hi = min(counts), max(counts)
-            pkey = (lo, tuple(counts.get(i, 0) for i in range(lo, hi + 1)))
+            pkey = Profile.of_counts(Counter(absc.values()))
             result["count"][pkey] = result["count"].get(pkey, 0) + 1
             cvecs = {v: [0] * (2 - m) for v in absc}
             for v, w in pairs:

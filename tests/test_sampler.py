@@ -138,8 +138,8 @@ class TestProfileLaw:
     def test_binary_size_two(self):
         law = profile_law(2, "binary")
         masses = dict(law.masses)
-        assert masses == {(-1, (1, 1)): Fraction(1, 2),
-                          (0, (1, 1)): Fraction(1, 2)}
+        assert masses == {Profile([1, 1], ell=-1): Fraction(1, 2),
+                          Profile([1, 1]): Fraction(1, 2)}
 
     def test_binary_size_three_catalan(self):
         law = profile_law(3, "binary")
@@ -171,15 +171,15 @@ class TestProfileLaw:
             profile_law(15, "binary")
 
     def test_law_below_minus_one_matches_oracle(self):
-        # trees that leave an abscissa empty have no Profile, so the law is
-        # over the gap-free trees: the total is the sum of the oracle counts
+        # the law counts every tree, those that leave an abscissa empty too
         S = StepSet([-2, -1, 1])
         law = profile_law(4, "cayley", S)
-        counts = {(p.ell, p.counts): sum(1 for _ in enumerate_embedded_cayley(S, p))
-                  for p in enumerate_profiles(4)}
-        assert law.total == sum(counts.values())
-        assert dict(law.masses) == {k: Fraction(c, law.total)
-                                    for k, c in counts.items() if c}
+        counts = {p: sum(1 for _ in enumerate_embedded_cayley(S, p))
+                  for p in enumerate_profiles(4, S)}
+        assert law.total == sum(counts.values()) == 4 ** 3 * 3 ** 3
+        assert dict(law.masses) == {p: Fraction(c, law.total)
+                                    for p, c in counts.items() if c}
+        assert any(0 in p.counts for p, _prob in law.masses)
 
     def test_profile_enumeration_complete(self):
         # every law profile with positive mass is realized, and vice versa
@@ -187,5 +187,5 @@ class TestProfileLaw:
         realized = set()
         for p in enumerate_profiles(4):
             if sum(1 for _ in enumerate_sary(StepSet([-1, 0, 1]), p)):
-                realized.add((p.ell, p.counts))
+                realized.add(p)
         assert {k for k, _pr in law.masses} == realized

@@ -25,7 +25,6 @@ from embtrees import (
     enumerate_marked_strees,
     enumerate_sary,
     enumerate_sfunctions,
-    equivalent,
     phi,
     phi_inverse,
     psi,
@@ -34,7 +33,6 @@ from embtrees import (
     sample_sary,
     sample_sfunction,
     sary_from_injective,
-    shape_key,
     type_distribution_of,
     vertex_type,
 )
@@ -101,15 +99,6 @@ def test_sary_sampler_on_a_long_line():
     assert again == shape and hash(again) == hash(shape)
     assert len({shape, again}) == 1
     assert shape != SAryTree(0)
-
-
-def test_shape_key_on_a_long_line():
-    p = Profile([1] * 1500)
-    tree = sample_embedded_cayley(StepSet([-1, 0, 1]), p, seed=3)
-    other = sample_embedded_cayley(StepSet([-1, 0, 1]), p, seed=4)
-    assert equivalent(tree, other)
-    assert shape_key(tree) == shape_key(other)
-    assert hash(shape_key(tree)) == hash(shape_key(other))
 
 
 def test_sary_repr_on_a_long_line():
